@@ -7,8 +7,6 @@ Provides:
   smallest quadratic non-residue; elements are pairs ``(a, b)`` meaning
   ``a + b*sqrt(r)``.
 - :func:`find_zeta`: a deterministic (p+1)-th root of -1 in F_{p^2}.
-- :func:`pochhammer`: the falling-factorial normalization scalar used by the
-  symmetric-power basis construction.
 - :class:`Series1`: sparse univariate truncated series (Laurent exponents
   allowed) over Fp or Fp2, with power-of-Frobenius substitution.
 - :class:`Series3`: sparse trivariate truncated series over F_p with the three
@@ -252,42 +250,6 @@ def all_zetas(p: int):
     """All (p+1)-th roots of -1 in F_{p^2} (there are exactly p+1)."""
     K = Fp2(p)
     return [x for x in K.elements() if K.eq(K.pow(x, p + 1), K.neg(K.one))]
-
-
-# ---------------------------------------------------------------------------
-# pochhammer
-# ---------------------------------------------------------------------------
-
-def pochhammer(m: int, i: int, p: int) -> int:
-    """Falling factorial m*(m-1)*...*(m-i+1) reduced mod p.
-
-    This is the per-index normalization scalar that makes the lowered
-    highest-weight bases span genuine GL2-subrepresentations (verified by the
-    equivariance tests in the representation module).
-
-    Raises ``ValueError`` for i > m or i < 0, and an error mentioning
-    "pochhammer vanishes" when the product is divisible by p.
-    """
-    _check_prime(p)
-    if i < 0 or i > m:
-        raise ValueError(f"pochhammer index out of range: i={i}, m={m}")
-    result = 1
-    for j in range(i):
-        factor = (m - j) % p
-        if factor == 0:
-            raise ValueError(f"pochhammer vanishes: factor {m - j} divisible by {p}")
-        result = (result * factor) % p
-    return result
-
-
-def pochhammer_exact(m: int, i: int) -> int:
-    """Falling factorial over the integers (used for characteristic-0 work)."""
-    if i < 0 or i > m:
-        raise ValueError(f"pochhammer index out of range: i={i}, m={m}")
-    result = 1
-    for j in range(i):
-        result *= (m - j)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,10 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_theta(args) -> int:
-    F = _read_form(args.input)
     m = args.iterations
+    if m < 1:
+        raise CliError("iterate count must be >= 1")
+    F = _read_form(args.input)
     if args.op == "scalar":
         G = F
         for _ in range(m):

@@ -155,7 +155,7 @@ def _branches(ell: int, i: int, T, reps_by_beta):
                 yield alpha, beta, gamma, rep, T2
 
 
-def required_indices(ell: int, i: int, T, N: int = 3) -> set:
+def required_indices(ell: int, i: int, T, N: int) -> set:
     """The set of input indices read by :func:`hecke_coefficient` at T."""
     reps = {beta: p1_representatives(ell, beta, N) for beta in range(i + 1)}
     return {T2 for *_, T2 in _branches(ell, i, check_index(T), reps)}

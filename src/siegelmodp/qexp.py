@@ -179,15 +179,6 @@ def parse(text: str) -> QExpansion:
         raise QExpError(str(e)) from None
 
 
-def codec(direction: str, payload):
-    """Round-trip codec front end: direction is 'parse' or 'serialize'."""
-    if direction == "parse":
-        return parse(payload)
-    if direction == "serialize":
-        return serialize(payload)
-    raise ValueError("direction must be 'parse' or 'serialize'")
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------

@@ -10,23 +10,23 @@ representation Sym^(k1-k2) tensor det^(k2).  A vector of ``V(n, m)``
     ``u_i = e1^(n-i) * e2^i``,  coordinate index i = 0..n.
 
 The Pieri split decomposes V(n, m) tensor V(2, 0) into (up to) three
-components V(n+2, m), V(n, m+1), V(n-2, m+2).  It is computed through
-highest-weight vectors lowered by a raising/lowering-operator basis with
-falling-factorial normalization; the choice of normalization is pinned down
-by the equivariance tests.
+components V(n+2, m), V(n, m+1), V(n-2, m+2).  They are the transvectants
+of the Omega-process (Olver, *Classical Invariant Theory*, ch. 5): the
+product, the first transvectant over n+2 and the second over 2n(n+1).
+Reassembly is the dual map: polarization of the first component, and
+multiplication of the other two by omega = e1 (x) e2 - e2 (x) e1 and its
+square.
 
-For n in {p-2, p-1} the modular splitting degenerates; only the V(n-2, m+2)
-component is defined.  It is computed by solving the split over the rationals
-and reducing that component mod p.
+For n in {p-2, p-1} only the V(n-2, m+2) component is defined.  At n = p-1
+its denominator 2n(n+1) carries one factor p, which is dropped: the result
+is the characteristic-0 projection times p, reduced mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .arith import pochhammer, pochhammer_exact
+from .arith import _check_prime
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,6 @@ def _binomial_expand(a, c, e1, b, d, e2, p):
     return out
 
 
-def clebsch_weights(w: Weight, w2: Weight) -> list[Weight]:
-    """Weights of the components of the tensor product of two weights."""
-    mu = min(w.n, w2.n)
-    return [Weight(w.k1 + w2.k1 - j, w.k2 + w2.k2 + j) for j in range(mu + 1)]
-
-
 def sym2_of_index(T, p: int) -> RepVector:
     """The V(2, 0) vector a*e1^2 + b*e1*e2 + c*e2^2 attached to T = (a, b, c)."""
     a, b, c = T
@@ -139,295 +133,93 @@ def sym2_of_index(T, p: int) -> RepVector:
 # the Pieri split
 # ---------------------------------------------------------------------------
 #
-# Internally we use the reversed monomial basis ub_i = e1^i e2^(n-i)
-# (ub_i = u_{n-i}) on both tensor factors, with operators
-#   E ub_i = i ub_{i-1},    F ub_i = (n-i) ub_{i+1}
-# extended to tensors by the Leibniz rule.  The highest-weight vectors
-# (annihilated by F) are
-#   w0 = ub_n (x) vb_2
-#   w1 = ub_n (x) vb_1 - ub_{n-1} (x) vb_2
-#   w2 = ub_n (x) vb_0 - 2 ub_{n-1} (x) vb_1 + ub_{n-2} (x) vb_2
-# and the component bases are f^(j)_i = E^i w_j / poch(n_j, i) with
-# n_0 = n+2, n_1 = n, n_2 = n-2.
-
-def _tensor_E(vec, n, ring):
-    """Apply the lowering operator E to a tensor given as {(i,j): coeff}."""
-    out = {}
-    for (i, j), c in vec.items():
-        if c == 0:
-            continue
-        if i > 0:
-            key = (i - 1, j)
-            out[key] = ring(out.get(key, 0) + i * c)
-        if j > 0:
-            key = (i, j - 1)
-            out[key] = ring(out.get(key, 0) + j * c)
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _tensor_F(vec, n, ring):
-    """Apply the raising operator F to a tensor given as {(i,j): coeff}."""
-    out = {}
-    for (i, j), c in vec.items():
-        if c == 0:
-            continue
-        if i < n:
-            key = (i + 1, j)
-            out[key] = ring(out.get(key, 0) + (n - i) * c)
-        if j < 2:
-            key = (i, j + 1)
-            out[key] = ring(out.get(key, 0) + (2 - j) * c)
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def highest_weight_vectors(n: int):
-    """The (up to three) highest-weight tensors in internal coordinates."""
-    ws = {}
-    ws[0] = {(n, 2): 1}
-    if n >= 1:
-        ws[1] = {(n, 1): 1, (n - 1, 2): -1}
-    if n >= 2:
-        ws[2] = {(n, 0): 1, (n - 1, 1): -2, (n - 2, 2): 1}
-    return ws
-
-
-def _component_basis(n: int, j: int, p: int | None):
-    """Vectors f^(j)_i (internal coords) for i = 0..n_j; exact if p is None."""
-    nj = n + 2 - 2 * j
-    if nj < 0:
-        return []
-    w = highest_weight_vectors(n)[j]
-    if p is None:
-        ring = lambda x: x
-        poch = lambda m, i: Fraction(pochhammer_exact(m, i))
-        vec = {k: Fraction(v) for k, v in w.items()}
-    else:
-        ring = lambda x: x % p
-        poch = lambda m, i: pochhammer(m, i, p)
-        vec = {k: v % p for k, v in w.items()}
-    basis = []
-    cur = vec
-    for i in range(nj + 1):
-        if p is None:
-            scale = Fraction(1) / poch(nj, i)
-            basis.append({k: v * scale for k, v in cur.items()})
-        else:
-            scale = pow(poch(nj, i), p - 2, p)
-            basis.append({k: (v * scale) % p for k, v in cur.items()})
-        cur = _tensor_E(cur, n, ring)
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _split_matrix(n: int, p: int | None):
-    """Columns f^(j)_i (flattened internal coords) and their (j, i) labels."""
-    cols = []
-    labels = []
-    if p is None:
-        js = [0, 1, 2] if n >= 2 else ([0, 1] if n == 1 else [0])
-    else:
-        if n > p - 1:
-            raise ValueError("split undefined at this degree")
-        js = [0, 1, 2] if n >= 2 else ([0, 1] if n == 1 else [0])
-    for j in js:
-        for i, vec in enumerate(_component_basis(n, j, p)):
-            cols.append(vec)
-            labels.append((j, i))
-    return cols, labels
-
-
-def _solve_mod_p(columns, target, dim_keys, p):
-    """Solve sum x_k col_k = target over F_p; raise if inconsistent."""
-    key_index = {k: r for r, k in enumerate(dim_keys)}
-    nrows = len(dim_keys)
-    ncols = len(columns)
-    M = [[0] * (ncols + 1) for _ in range(nrows)]
-    for cidx, col in enumerate(columns):
-        for k, v in col.items():
-            M[key_index[k]][cidx] = v % p
-    for k, v in target.items():
-        M[key_index[k]][ncols] = v % p
-    # Gaussian elimination
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        sel = None
-        for r in range(row, nrows):
-            if M[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        M[row], M[sel] = M[sel], M[row]
-        inv = pow(M[row][col], p - 2, p)
-        M[row] = [(x * inv) % p for x in M[row]]
-        for r in range(nrows):
-            if r != row and M[r][col]:
-                f = M[r][col]
-                M[r] = [(a - f * b) % p for a, b in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-    sol = [0] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = M[r][ncols]
-    for r in range(row, nrows):
-        if M[r][ncols] % p:
-            raise ValueError("inconsistent split system")
-    return sol
-
-
-def _solve_exact(columns, target, dim_keys):
-    """Solve over the rationals with Fractions."""
-    key_index = {k: r for r, k in enumerate(dim_keys)}
-    nrows = len(dim_keys)
-    ncols = len(columns)
-    M = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
-    for cidx, col in enumerate(columns):
-        for k, v in col.items():
-            M[key_index[k]][cidx] = Fraction(v)
-    for k, v in target.items():
-        M[key_index[k]][ncols] = Fraction(v)
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        sel = None
-        for r in range(row, nrows):
-            if M[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        M[row], M[sel] = M[sel], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [x * inv for x in M[row]]
-        for r in range(nrows):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = M[r][ncols]
-    for r in range(row, nrows):
-        if M[r][ncols] != 0:
-            raise ValueError("inconsistent split system")
-    return sol
-
-
-@lru_cache(maxsize=None)
-def _degenerate_x2_matrix(n: int, p: int) -> dict:
-    """Mod-p matrix of the equivariant map onto the lowest Pieri component
-    for n in {p-2, p-1}.
-
-    The characteristic-0 projection matrix onto the third component is
-    computed exactly; its entries are rescaled by the smallest power of p
-    clearing every denominator and then reduced mod p.  For n = p-2 no
-    rescaling is needed and this is the genuine projection; for n = p-1 the
-    rescaled map is the unique (up to scalar) equivariant map onto the
-    target, which factors through the quotient.
-
-    Returns ``{internal_key: {target_row: value}}``.
-    """
-    cols, labels = _split_matrix(n, None)
-    dim_keys = [(i, j) for i in range(n + 1) for j in range(3)]
-    raw = {}
-    max_val = 0
-    for key in dim_keys:
-        sol = _solve_exact(cols, {key: 1}, dim_keys)
-        entries = {}
-        for (j, i), val in zip(labels, sol):
-            if j != 2 or val == 0:
-                continue
-            den = val.denominator
-            v = 0
-            while den % p == 0:
-                den //= p
-                v += 1
-            max_val = max(max_val, v)
-            entries[i] = val
-        raw[key] = entries
-    scale = Fraction(p) ** max_val
-    out = {}
-    for key, entries in raw.items():
-        red = {}
-        for i, val in entries.items():
-            sv = val * scale
-            assert sv.denominator % p != 0
-            c = (sv.numerator % p) * pow(sv.denominator % p, p - 2, p) % p
-            if c:
-                red[i] = c
-        if red:
-            out[key] = red
-    return out
-
-
-def _to_internal(x: dict, n: int) -> dict:
-    """Convert external {(i, j): c} on u_i (x) v_j to internal ub/vb coords."""
-    return {(n - i, 2 - j): c for (i, j), c in x.items()}
-
+# Write X = e1, Y = e2, u_i = X^(n-i) Y^i and v_j = X^(2-j) Y^j, with a = n-i,
+# b = i, s = 2-j, t = j.  The Omega-process sends c * u_i (x) v_j to
+#   x0[i+j]   += c
+#   x1[i+j-1] += c (a t - b s) / (n+2)
+#   x2[i+j-2] += c (a(a-1) t(t-1) - 2 a b s t + b(b-1) s(s-1)) / (2n(n+1))
+# The weights of x1 and x2 vanish as integers whenever their index falls
+# outside the component.  With h, g, q the polynomials of x0, x1, x2 and
+# omega = X (x) Y - Y (x) X, the inverse is
+#   (h_XX (x) X^2 + 2 h_XY (x) XY + h_YY (x) Y^2) / ((n+2)(n+1))
+#   + (g_X (x) X + g_Y (x) Y) omega / n  +  q omega^2.
 
 def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
     """Split x in V(n, m) tensor V(2, 0) into its (up to three) components.
 
     ``x`` maps external tensor-basis pairs ``(i, j)`` (for u_i tensor v_j,
-    v_j = e1^(2-j) e2^j) to integers.  Components are returned in external
-    coordinates.  For n in {p-2, p-1} only the V(n-2, m+2) component exists;
-    it is computed over the rationals and reduced mod p.
+    v_j = e1^(2-j) e2^j) to integers.  For n in {p-2, p-1} only the
+    V(n-2, m+2) component exists; at n = p-1 it is the characteristic-0
+    projection times p, reduced mod p.
     """
+    _check_prime(p)
     if n < 0:
         raise ValueError("negative symmetric degree")
     if n > p - 1:
         raise ValueError("split undefined at this degree")
-    target = _to_internal({k: v for k, v in x.items() if v % p}, n)
-
-    dim_keys = [(i, j) for i in range(n + 1) for j in range(3)]
-    degenerate = n in (p - 2, p - 1) and n >= 2
-
+    degenerate = n >= p - 2
+    x0 = [0] * (n + 3)
+    x1 = [0] * (n + 1)
+    x2 = [0] * (n - 1)
+    for (i, j), c in x.items():
+        if not (0 <= i <= n and 0 <= j <= 2):
+            raise ValueError(f"tensor index {(i, j)} out of range for n={n}")
+        c %= p
+        if not c:
+            continue
+        a, b, s, t = n - i, i, 2 - j, j
+        if not degenerate:
+            x0[i + j] += c
+            w1 = a * t - b * s
+            if w1:
+                x1[i + j - 1] += c * w1
+        w2 = a * (a - 1) * t * (t - 1) - 2 * a * b * s * t + b * (b - 1) * s * (s - 1)
+        if w2:
+            x2[i + j - 2] += c * w2
+    # at n = p-1 the factor n+1 = p of 2n(n+1) is dropped
+    r2 = pow(2 * n * (n + 1 if n < p - 1 else 1), p - 2, p)
+    x2v = RepVector(n - 2, m + 2, tuple(v * r2 % p for v in x2)) if n >= 2 else None
     if degenerate:
-        P = _degenerate_x2_matrix(n, p)
-        comp = [0] * (n - 1)
-        for (key, r_entries) in P.items():
-            c = target.get(key)
-            if c is None or c % p == 0:
-                continue
-            for r, val in r_entries.items():
-                comp[r] = (comp[r] + c * val) % p
-        x2 = RepVector(n - 2, m + 2, tuple(c % p for c in comp))
-        return PieriSplit(None, None, x2, (False, False, True))
-
-    cols, labels = _split_matrix(n, p)
-    sol = _solve_mod_p(cols, target, dim_keys, p)
-    out = {0: [0] * (n + 3), 1: [0] * (n + 1) if n >= 1 else None,
-           2: [0] * (n - 1) if n >= 2 else None}
-    for (j, i), val in zip(labels, sol):
-        out[j][i] = val % p
-    x0 = RepVector(n + 2, m, tuple(out[0]))
-    x1 = RepVector(n, m + 1, tuple(out[1])) if n >= 1 else None
-    x2 = RepVector(n - 2, m + 2, tuple(out[2])) if n >= 2 else None
-    return PieriSplit(x0, x1, x2, (True, n >= 1, n >= 2))
+        return PieriSplit(None, None, x2v, (False, False, True))
+    r1 = pow(n + 2, p - 2, p)
+    x0v = RepVector(n + 2, m, tuple(v % p for v in x0))
+    x1v = RepVector(n, m + 1, tuple(v * r1 % p for v in x1)) if n >= 1 else None
+    return PieriSplit(x0v, x1v, x2v, (True, n >= 1, n >= 2))
 
 
 def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:
-    """Inverse of :func:`pieri_split` (on present components); external coords."""
-    cols, labels = _split_matrix(n, p)
+    """Inverse of :func:`pieri_split` (on present components); external coords.
+
+    Defined for 0 <= n <= p-3, where every component is present.
+    """
+    _check_prime(p)
+    if not 0 <= n <= p - 3:
+        raise ValueError(f"split cannot be reassembled at n={n}, p={p}")
     acc = {}
-    comp_vectors = {0: split.x0, 1: split.x1, 2: split.x2}
-    for (j, i), col in zip(labels, cols):
-        v = comp_vectors[j]
-        if v is None:
-            continue
-        c = v.coords[i]
-        if c % p == 0:
-            continue
-        for key, val in col.items():
-            acc[key] = (acc.get(key, 0) + c * val) % p
-    # back to external coords
-    out = {}
-    for (ib, jb), c in acc.items():
-        if c % p:
-            out[(n - ib, 2 - jb)] = c % p
-    return out
+
+    def add(i, j, c):
+        acc[(i, j)] = acc.get((i, j), 0) + c
+
+    if split.x0 is not None:
+        r0 = pow((n + 2) * (n + 1), p - 2, p)
+        for k, h in enumerate(split.x0.coords):
+            a, b = n + 2 - k, k
+            add(k, 0, h * a * (a - 1) * r0)
+            add(k - 1, 1, 2 * h * a * b * r0)
+            add(k - 2, 2, h * b * (b - 1) * r0)
+    if split.x1 is not None:
+        r1 = pow(n, p - 2, p)
+        for k, g in enumerate(split.x1.coords):
+            a, b = n - k, k
+            add(k, 1, g * (a - b) * r1)
+            add(k + 1, 0, -g * a * r1)
+            add(k - 1, 2, g * b * r1)
+    if split.x2 is not None:
+        for k, q in enumerate(split.x2.coords):
+            add(k, 2, q)
+            add(k + 1, 1, -2 * q)
+            add(k + 2, 0, q)
+    return {key: c % p for key, c in acc.items() if c % p}
 
 
 def tensor_action(n: int, m: int, g, x: dict, p: int) -> dict:

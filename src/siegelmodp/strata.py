@@ -41,6 +41,10 @@ class StrataError(ValueError):
     pass
 
 
+class ChaseError(StrataError):
+    """A Frobenius/Verschiebung chase left the line it was following."""
+
+
 PHI_VALUES = ((0, 0), (0, 1), (1, 1), (1, 2))
 
 
@@ -175,11 +179,6 @@ def _null_space(rows, p):
     return _rref(basis, p)
 
 
-def _annihilator(space, p):
-    """Rows a with a . s = 0 for every s in the span (dot-product duality)."""
-    return _null_space(space, p)
-
-
 def _mat_image(M, space, p):
     """RREF basis of M(span)."""
     rows = []
@@ -191,7 +190,8 @@ def _mat_image(M, space, p):
 
 def _mat_preimage(M, space, p):
     """RREF basis of {x : M x in span}."""
-    ann = _annihilator(space, p)
+    # rows a with a . s = 0 for every s in the span (dot-product duality)
+    ann = _null_space(space, p)
     rows = []
     for a in ann:
         rows.append(tuple(sum(a[i] * M[i][j] for i in range(4)) % p
@@ -349,7 +349,7 @@ def _vec_is_zero(vec):
 def _solve_line(model, columns, target):
     """Solve target = sum_i x_i * columns[i] over truncated Laurent series.
 
-    Gaussian elimination with min-order pivoting; raises ``StrataError``
+    Gaussian elimination with min-order pivoting; raises ``ChaseError``
     ("chase left the line") when the system is inconsistent.  Returns the
     coefficient vector x.
     """
@@ -384,7 +384,7 @@ def _solve_line(model, columns, target):
         if ri in rank_rows:
             continue
         if any(not e.is_zero() for e in row):
-            raise StrataError("chase left the line")
+            raise ChaseError("chase left the line")
     x = []
     for c in range(ncols):
         if where[c] is None:
@@ -468,7 +468,7 @@ def chase(model: DieudonneModel, word, start, line_data=None,
             rels = [_twist_vec(_vec(model, r), level)
                     for r in (quot.rels if quot else ())]
             if _vec_is_zero(fwd):
-                raise StrataError("chase left the line")
+                raise ChaseError("chase left the line")
             sol = _solve_line(model, [fwd] + rels, vec)
             lam = sol[0]
             vec = tuple(c.mul(lam) for c in
@@ -628,12 +628,10 @@ def partial_hasse_order(phi, p: int, variant: int | None = None,
                       (b0, 4), lines)
         total = res_1.multiplier.mul(res_0.multiplier)
         return _order_of(total, K)
-    except StrataError as e:
+    except ChaseError:
         # on these fixed models the only failure source is truncation:
         # a chase that degenerates below the cutoff means K was too small
-        if "chase left the line" in str(e):
-            raise StrataError("order exceeds cutoff") from None
-        raise
+        raise StrataError("order exceeds cutoff") from None
 
 
 def partial_hasse_report(phi, p: int, variant: int | None = None,

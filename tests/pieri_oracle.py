@@ -1,0 +1,227 @@
+"""Reference Pieri split by linear algebra, for differential tests of ``rep``.
+
+The split of V(n, m) tensor V(2, 0) is computed from a basis of each
+component: highest-weight vectors lowered by E and normalized by falling
+factorials.  Generic degrees solve one system mod p per tensor; for n in
+{p-2, p-1} the split is solved over the rationals, the projection onto the
+lowest component is rescaled by the smallest power of p that clears its
+denominators, and the result is reduced mod p.
+
+Internally the reversed monomial basis ub_i = e1^i e2^(n-i) (ub_i = u_{n-i})
+is used on both tensor factors, with E ub_i = i ub_{i-1} extended to tensors
+by the Leibniz rule.  The highest-weight vectors are
+
+    w0 = ub_n (x) vb_2
+    w1 = ub_n (x) vb_1 - ub_{n-1} (x) vb_2
+    w2 = ub_n (x) vb_0 - 2 ub_{n-1} (x) vb_1 + ub_{n-2} (x) vb_2
+
+and the component bases are f^(j)_i = E^i w_j / perm(n_j, i) with
+n_0 = n+2, n_1 = n, n_2 = n-2.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+from math import perm
+
+from siegelmodp.rep import PieriSplit, RepVector
+
+
+def _pochhammer(m, i, p):
+    """Falling factorial m*(m-1)*...*(m-i+1) mod p; raises if it vanishes."""
+    value = perm(m, i) % p
+    if value == 0:
+        raise ValueError(f"pochhammer vanishes: ({m})_{i} divisible by {p}")
+    return value
+
+
+def _tensor_E(vec, ring):
+    """Apply the lowering operator E to a tensor given as {(i,j): coeff}."""
+    out = {}
+    for (i, j), c in vec.items():
+        if c == 0:
+            continue
+        if i > 0:
+            key = (i - 1, j)
+            out[key] = ring(out.get(key, 0) + i * c)
+        if j > 0:
+            key = (i, j - 1)
+            out[key] = ring(out.get(key, 0) + j * c)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def highest_weight_vectors(n):
+    """The (up to three) highest-weight tensors in internal coordinates."""
+    ws = {0: {(n, 2): 1}}
+    if n >= 1:
+        ws[1] = {(n, 1): 1, (n - 1, 2): -1}
+    if n >= 2:
+        ws[2] = {(n, 0): 1, (n - 1, 1): -2, (n - 2, 2): 1}
+    return ws
+
+
+def _component_basis(n, j, p):
+    """Vectors f^(j)_i (internal coords) for i = 0..n_j; exact if p is None."""
+    nj = n + 2 - 2 * j
+    if nj < 0:
+        return []
+    w = highest_weight_vectors(n)[j]
+    if p is None:
+        ring = lambda x: x
+        cur = {k: Fraction(v) for k, v in w.items()}
+    else:
+        ring = lambda x: x % p
+        cur = {k: v % p for k, v in w.items()}
+    basis = []
+    for i in range(nj + 1):
+        if p is None:
+            scale = Fraction(1, perm(nj, i))
+            basis.append({k: v * scale for k, v in cur.items()})
+        else:
+            scale = pow(_pochhammer(nj, i, p), p - 2, p)
+            basis.append({k: (v * scale) % p for k, v in cur.items()})
+        cur = _tensor_E(cur, ring)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _split_matrix(n, p):
+    """Columns f^(j)_i (flattened internal coords) and their (j, i) labels."""
+    if p is not None and n > p - 1:
+        raise ValueError("split undefined at this degree")
+    js = [0, 1, 2] if n >= 2 else ([0, 1] if n == 1 else [0])
+    cols = []
+    labels = []
+    for j in js:
+        for i, vec in enumerate(_component_basis(n, j, p)):
+            cols.append(vec)
+            labels.append((j, i))
+    return cols, labels
+
+
+def _solve(columns, target, dim_keys, field, inverse, is_zero):
+    """Solve sum x_k col_k = target by Gauss-Jordan elimination."""
+    key_index = {k: r for r, k in enumerate(dim_keys)}
+    nrows = len(dim_keys)
+    ncols = len(columns)
+    M = [[field(0)] * (ncols + 1) for _ in range(nrows)]
+    for cidx, col in enumerate(columns):
+        for k, v in col.items():
+            M[key_index[k]][cidx] = field(v)
+    for k, v in target.items():
+        M[key_index[k]][ncols] = field(v)
+    row = 0
+    pivots = []
+    for col in range(ncols):
+        sel = next((r for r in range(row, nrows) if not is_zero(M[r][col])),
+                   None)
+        if sel is None:
+            continue
+        M[row], M[sel] = M[sel], M[row]
+        inv = inverse(M[row][col])
+        M[row] = [field(x * inv) for x in M[row]]
+        for r in range(nrows):
+            if r != row and not is_zero(M[r][col]):
+                f = M[r][col]
+                M[r] = [field(a - f * b) for a, b in zip(M[r], M[row])]
+        pivots.append(col)
+        row += 1
+    if any(not is_zero(M[r][ncols]) for r in range(row, nrows)):
+        raise ValueError("inconsistent split system")
+    sol = [field(0)] * ncols
+    for r, c in enumerate(pivots):
+        sol[c] = M[r][ncols]
+    return sol
+
+
+def _solve_mod_p(columns, target, dim_keys, p):
+    return _solve(columns, target, dim_keys, lambda x: x % p,
+                  lambda x: pow(x, p - 2, p), lambda x: x % p == 0)
+
+
+def _solve_exact(columns, target, dim_keys):
+    return _solve(columns, target, dim_keys, Fraction, lambda x: 1 / x,
+                  lambda x: x == 0)
+
+
+@lru_cache(maxsize=None)
+def _degenerate_x2_matrix(n, p):
+    """``{internal_key: {target_row: value}}``: the mod-p map onto the lowest
+    component for n in {p-2, p-1}, the characteristic-0 projection rescaled
+    by the smallest power of p clearing every denominator."""
+    cols, labels = _split_matrix(n, None)
+    dim_keys = [(i, j) for i in range(n + 1) for j in range(3)]
+    raw = {}
+    max_val = 0
+    for key in dim_keys:
+        sol = _solve_exact(cols, {key: 1}, dim_keys)
+        entries = {}
+        for (j, i), val in zip(labels, sol):
+            if j != 2 or val == 0:
+                continue
+            den = val.denominator
+            v = 0
+            while den % p == 0:
+                den //= p
+                v += 1
+            max_val = max(max_val, v)
+            entries[i] = val
+        raw[key] = entries
+    scale = Fraction(p) ** max_val
+    out = {}
+    for key, entries in raw.items():
+        red = {}
+        for i, val in entries.items():
+            sv = val * scale
+            assert sv.denominator % p != 0
+            c = (sv.numerator % p) * pow(sv.denominator % p, p - 2, p) % p
+            if c:
+                red[i] = c
+        if red:
+            out[key] = red
+    return out
+
+
+def _to_internal(x, n):
+    """Convert external {(i, j): c} on u_i (x) v_j to internal ub/vb coords."""
+    return {(n - i, 2 - j): c for (i, j), c in x.items()}
+
+
+def pieri_split(n, p, x, m=0):
+    """Reference for :func:`siegelmodp.rep.pieri_split`."""
+    if n < 0:
+        raise ValueError("negative symmetric degree")
+    if n > p - 1:
+        raise ValueError("split undefined at this degree")
+    target = _to_internal({k: v for k, v in x.items() if v % p}, n)
+    if n >= 2 and n in (p - 2, p - 1):
+        comp = [0] * (n - 1)
+        for key, r_entries in _degenerate_x2_matrix(n, p).items():
+            c = target.get(key, 0) % p
+            for r, val in r_entries.items():
+                comp[r] = (comp[r] + c * val) % p
+        x2 = RepVector(n - 2, m + 2, tuple(comp))
+        return PieriSplit(None, None, x2, (False, False, True))
+    cols, labels = _split_matrix(n, p)
+    dim_keys = [(i, j) for i in range(n + 1) for j in range(3)]
+    sol = _solve_mod_p(cols, target, dim_keys, p)
+    out = {0: [0] * (n + 3), 1: [0] * (n + 1), 2: [0] * max(n - 1, 0)}
+    for (j, i), val in zip(labels, sol):
+        out[j][i] = val % p
+    x0 = RepVector(n + 2, m, tuple(out[0]))
+    x1 = RepVector(n, m + 1, tuple(out[1])) if n >= 1 else None
+    x2 = RepVector(n - 2, m + 2, tuple(out[2])) if n >= 2 else None
+    return PieriSplit(x0, x1, x2, (True, n >= 1, n >= 2))
+
+
+def pieri_reassemble(split, n, p):
+    """Reference for :func:`siegelmodp.rep.pieri_reassemble`."""
+    cols, labels = _split_matrix(n, p)
+    acc = {}
+    comp_vectors = {0: split.x0, 1: split.x1, 2: split.x2}
+    for (j, i), col in zip(labels, cols):
+        v = comp_vectors[j]
+        if v is None or v.coords[i] % p == 0:
+            continue
+        for key, val in col.items():
+            acc[key] = (acc.get(key, 0) + v.coords[i] * val) % p
+    return {(n - ib, 2 - jb): c for (ib, jb), c in acc.items() if c}

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelmodp.arith import (Fp, Fp2, Series1, Series3, all_zetas, find_zeta,
-                              is_prime, pochhammer, pochhammer_exact,
-                              prime_factors)
+                              is_prime, prime_factors)
 
 
 def test_is_prime():
@@ -50,16 +49,6 @@ def test_zeta(p):
     assert K.eq(K.pow(z, p + 1), K.neg(K.one))
     zs = all_zetas(p)
     assert len(zs) == p + 1 and z in zs
-
-
-def test_pochhammer():
-    assert pochhammer(5, 2, 7) == 20 % 7
-    assert pochhammer_exact(5, 3) == 60
-    assert pochhammer(4, 0, 5) == 1
-    with pytest.raises(ValueError, match="out of range"):
-        pochhammer(3, 4, 5)
-    with pytest.raises(ValueError, match="pochhammer vanishes"):
-        pochhammer(5, 1, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,17 @@ def test_theta_t2_iterations(tmp_path):
     assert G.weight == Weight(5 + 10, 4 + 10)
 
 
+@pytest.mark.parametrize("op", ["scalar", "big", "t2"])
+@pytest.mark.parametrize("m", [0, -1])
+def test_theta_iterations_below_one(tmp_path, capsys, op, m):
+    src, _ = write_form(tmp_path)
+    out = tmp_path / "out.smf"
+    assert run(["theta", "--op", op, "--iterations", str(m),
+                str(src), "-o", str(out)]) == 1
+    assert "iterate count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cycle_vector_json(capsys):
     assert run(["cycle", "--vector", "--p", "5", "--k", "7",
                 "--non-semi-ordinary"]) == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pieri_oracle
 from siegelmodp.rep import (PieriSplit, RepVector, Weight, pieri_reassemble,
                             pieri_split, rep_apply, sym2_of_index,
                             tensor_action)
@@ -116,3 +117,41 @@ def test_pieri_errors():
         pieri_split(-1, 5, {})
     with pytest.raises(ValueError):
         pieri_split(5, 5, {})
+    with pytest.raises(ValueError, match="out of range"):
+        pieri_split(2, 5, {(3, 0): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        pieri_split(4, 5, {(0, -1): 1})
+    # the split needs a prime p >= 5
+    for p in (2, 3):
+        for n in range(-1, p + 1):
+            with pytest.raises(ValueError):
+                pieri_split(n, p, {})
+            with pytest.raises(ValueError):
+                pieri_reassemble(PieriSplit(None, None, None, (False,) * 3), n, p)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the ValueError class when it raises one."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pieri_matches_linear_algebra_oracle(p):
+    rng = random.Random(100 + p)
+    for n in range(-1, p + 1):
+        dims = range(max(n + 1, 0))
+        tensors = [{(i, j): 1} for i in dims for j in range(3)]
+        tensors += [{(i, j): rng.randrange(-p, 2 * p) for i in dims
+                     for j in range(3)} for _ in range(4)]
+        for x in tensors:
+            split = _outcome(pieri_split, n, p, x, 1)
+            assert split == _outcome(pieri_oracle.pieri_split, n, p, x, 1), \
+                (p, n, x)
+            if split is ValueError:
+                continue
+            assert (_outcome(pieri_reassemble, split, n, p)
+                    == _outcome(pieri_oracle.pieri_reassemble, split, n, p)), \
+                (p, n, x)

@@ -1,8 +1,8 @@
 import pytest
 
 from siegelmodp.arith import Series1, all_zetas
-from siegelmodp.strata import (PHI_VALUES, CanonicalType, ElementarySequence,
-                               FinalSequence, StrataError,
+from siegelmodp.strata import (PHI_VALUES, CanonicalType, ChaseError,
+                               ElementarySequence, FinalSequence, StrataError,
                                canonical_filtration_compute, chase, eo_tables,
                                model_0_1, model_1_1, partial_hasse_order,
                                partial_hasse_report, point_model_products_vanish,
@@ -71,7 +71,7 @@ def test_chase_forward_examples():
 def test_chase_left_the_line():
     p = 5
     model, lines = model_1_1(p, 40)
-    with pytest.raises(StrataError, match="chase left the line"):
+    with pytest.raises(ChaseError, match="chase left the line"):
         chase(model, [("extract", "B2")], ({3: 1}, 0), lines)
 
 
