@@ -145,10 +145,6 @@ class Fp2:
     def from_int(self, n: int):
         return (n % self.p, 0)
 
-    def embed(self, a: int):
-        """Embed an F_p element."""
-        return (a % self.p, 0)
-
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
 
@@ -304,11 +300,6 @@ class Series1:
             return None
         return min(self.coeffs)
 
-    def leading_coeff(self):
-        if not self.coeffs:
-            raise ZeroDivisionError("zero series has no leading coefficient")
-        return self.coeffs[self.order()]
-
     def __eq__(self, other):
         if not isinstance(other, Series1):
             return NotImplemented
@@ -388,9 +379,6 @@ class Series1:
                 break
             acc = acc.add(term)
         return acc.scal(c0inv).shift(-e0)
-
-    def div(self, other):
-        return self.mul(other.inverse())
 
     # -- semilinear substitution -------------------------------------------
     def frobenius_substitute(self, s: int = 1):

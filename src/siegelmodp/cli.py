@@ -26,16 +26,14 @@ import json
 import sys
 
 from . import cycles, galois, hecke, qexp, strata, theta
-from .qexp import QExpError
 
 
 class CliError(ValueError):
     pass
 
 
-_DOMAIN_ERRORS = (CliError, QExpError, hecke.HeckeError,
-                  theta.ThetaError, cycles.CycleError, strata.StrataError,
-                  galois.GaloisError, ValueError, OSError)
+# every module's error type subclasses ValueError
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _read_form(path: str) -> qexp.QExpansion:
@@ -79,11 +77,15 @@ def _cmd_theta(args) -> int:
 def _read_targets(path: str):
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            a, b, c = (int(x) for x in line.split())
+            try:
+                a, b, c = (int(x) for x in line.split())
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: expected three integers "
+                               f"'a b c', got {line!r}") from None
             out.append((a, b, c))
     return out
 

@@ -16,11 +16,10 @@ T' = ell^alpha * (a_U ell^(-beta-gamma), b_U ell^(-gamma), c_U ell^(beta-gamma))
 R(ell^beta) is a set of determinant-1 integer matrices, congruent to the
 identity mod N, whose first rows enumerate P^1(Z/ell^beta).
 
-An optional tensor normalization replaces the ell-exponents by
-beta(k1+p-1) + gamma(k1+k2+2p-3) computed from a pre-image weight (the
-weight before a theta operator was applied) and multiplies by ell^(-j*beta)
-for the component index j; this is provably identical to the plain
-normalization at the expansion's own weight.
+The ell-exponents are always taken at the expansion's own weight.  Each
+coefficient enumerates its branches once, with the caller's lift scheme: the
+completeness check reads the indices T' of exactly the branches that the sum
+uses, so an absent input is an error, never a silent zero.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class HeckeError(ValueError):
 @dataclass(frozen=True)
 class P1Rep:
     matrix: tuple  # ((a, b), (c, d)) over the integers
-    beta: int
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +73,7 @@ def p1_classes(ell: int, beta: int):
     return classes
 
 
-def _complete_matrix(u1: int, u2: int, N: int, randomize: bool, rng) -> tuple:
+def _complete_matrix(u1: int, u2: int, N: int, rng) -> tuple:
     """Complete a coprime first row ==(1,0) mod N to an SL2 matrix == 1 mod N."""
     g, d, c = _xgcd(u1, u2)
     assert g == 1
@@ -84,7 +82,7 @@ def _complete_matrix(u1: int, u2: int, N: int, randomize: bool, rng) -> tuple:
     # shift second row by k*(u1, u2) so that it becomes == (0, 1) mod N;
     # since (u1, u2) == (1, 0) mod N we need k == -x mod N
     k = (-x) % N
-    if randomize:
+    if rng is not None:
         k += N * rng.randrange(0, 5)
     x, y = x + k * u1, y + k * u2
     assert u1 * y - u2 * x == 1
@@ -101,8 +99,10 @@ def p1_representatives(ell: int, beta: int, N: int,
     """
     if gcd(ell, N) != 1:
         raise HeckeError("ell must be coprime to the level")
-    rng = random.Random(seed)
-    randomize = scheme == "random"
+    if scheme not in ("crt", "random"):
+        raise HeckeError(f"unknown lift scheme {scheme!r}; "
+                         "choose 'crt' or 'random'")
+    rng = random.Random(seed) if scheme == "random" else None
     q = ell ** beta
     out = []
     for (v1, v2) in p1_classes(ell, beta):
@@ -111,14 +111,14 @@ def p1_representatives(ell: int, beta: int, N: int,
         else:
             u1 = _crt(v1, q, 1, N)
             u2 = _crt(v2, q, 0, N)
-            if randomize:
+            if rng is not None:
                 u1 += q * N * rng.randrange(0, 3)
                 u2 += q * N * rng.randrange(0, 3)
             # ensure the row is coprime (adjust by multiples of q*N, which
             # changes neither the P^1 class nor the mod-N congruence)
             while gcd(u1, u2) != 1:
                 u2 += q * N
-        out.append(P1Rep(_complete_matrix(u1, u2, N, randomize, rng), beta))
+        out.append(P1Rep(_complete_matrix(u1, u2, N, rng)))
     return out
 
 
@@ -137,7 +137,7 @@ def index_transform(U, T):
 
 
 def _branches(ell: int, i: int, T, reps_by_beta):
-    """Yield (alpha, beta, gamma, U, T') over all contributing branches."""
+    """Yield (beta, gamma, U, T') over all contributing branches."""
     a, b, c = T
     for beta in range(i + 1):
         for gamma in range(i - beta + 1):
@@ -152,11 +152,11 @@ def _branches(ell: int, i: int, T, reps_by_beta):
                 T2 = (la * (a_U // lbg),
                       la * (b_U // lg),
                       la * ((c_U // lg) * ell ** beta))
-                yield alpha, beta, gamma, rep, T2
+                yield beta, gamma, rep, T2
 
 
 def required_indices(ell: int, i: int, T, N: int) -> set:
-    """The set of input indices read by :func:`hecke_coefficient` at T."""
+    """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
     reps = {beta: p1_representatives(ell, beta, N) for beta in range(i + 1)}
     return {T2 for *_, T2 in _branches(ell, i, check_index(T), reps)}
 
@@ -165,47 +165,48 @@ def required_indices(ell: int, i: int, T, N: int) -> set:
 # the operator
 # ---------------------------------------------------------------------------
 
+def _check_operator(F: QExpansion, ell: int, i: int) -> None:
+    """Reject T(ell^i) unless i >= 0 and ell is coprime to p and the level."""
+    if i < 0:
+        raise HeckeError(f"power i must be >= 0, got {i}")
+    if ell % F.p == 0 or gcd(ell, F.N) != 1:
+        raise HeckeError("ell must be coprime to p and the level")
+
+
 def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
                       assume_complete: bool = False,
-                      scheme: str = "crt", seed: int = 0,
-                      tensor: tuple | None = None) -> RepVector:
+                      scheme: str = "crt", seed: int = 0) -> RepVector:
     """Coefficient of T(ell^i)F at index T.
 
-    ``tensor``, if given, is a triple ``(pre_k1, pre_k2, j)`` selecting the
-    tensor-weight normalization for the image of a theta operator with
-    pre-image weight (pre_k1, pre_k2) and component index j (0 for the
-    largest symmetric degree, 2 for the smallest); it is equivalent to the
-    plain normalization at F's own weight.
+    The lifts of P^1(Z/ell^beta) are built once with ``scheme``/``seed``
+    and their branches enumerated once.  Unless ``assume_complete`` is set,
+    every index T' those branches read must be in F's support, otherwise
+    :class:`HeckeError` names the missing ones; with it set, absent inputs
+    count as zero.
     """
-    p = F.p
     T = check_index(T)
-    if ell % p == 0 or gcd(ell, F.N) != 1:
-        raise HeckeError("ell must be coprime to p and the level")
+    _check_operator(F, ell, i)
+    p = F.p
     k1, k2 = F.weight.k1, F.weight.k2
     n = F.weight.n
     linv = pow(ell % p, p - 2, p)
 
+    reps = {beta: p1_representatives(ell, beta, F.N, scheme=scheme, seed=seed)
+            for beta in range(i + 1)}
+    branches = list(_branches(ell, i, T, reps))
     if not assume_complete:
-        missing = sorted(required_indices(ell, i, T, F.N) - set(F.support))
+        missing = sorted({T2 for *_, T2 in branches}.difference(F.support))
         if missing:
             raise HeckeError(f"missing required indices: {missing}")
 
-    reps = {beta: p1_representatives(ell, beta, F.N, scheme=scheme, seed=seed)
-            for beta in range(i + 1)}
     out = [0] * (n + 1)
-    for alpha, beta, gamma, rep, T2 in _branches(ell, i, T, reps):
+    for beta, gamma, rep, T2 in branches:
         coeff_vec = F.support.get(T2)
         if coeff_vec is None:
             continue
-        if tensor is None:
-            exp = beta * (k1 - 2) + gamma * (k1 + k2 - 3)
-            extra = 1
-        else:
-            pk1, pk2, j = tensor
-            exp = beta * (pk1 + p - 1) + gamma * (pk1 + pk2 + 2 * p - 3)
-            extra = pow(linv, j * beta, p)
+        exp = beta * (k1 - 2) + gamma * (k1 + k2 - 3)
         mult = (F.chi1_at(ell ** beta) * F.chi2_at(ell ** gamma)
-                * pow(ell % p, exp, p) * extra) % p
+                * pow(ell % p, exp, p)) % p
         if mult == 0:
             continue
         # rho_n((diag(1, ell^beta) U)^(-1)) = ell^(-n beta) * Sym^n(adj D)
@@ -229,6 +230,7 @@ def eigenvalue(F: QExpansion, ell: int, i: int,
     ``(T, matches: bool)`` over every supported index with computable
     Hecke coefficient.
     """
+    _check_operator(F, ell, i)
     if not F.support:
         raise HeckeError("zero expansion has no eigenvalue")
     p = F.p

@@ -98,10 +98,6 @@ class QExpansion:
             return 1
         return self.chi2[n % self.N]
 
-    def coefficient(self, T) -> tuple:
-        """Coefficient vector at T (zero vector if absent)."""
-        return self.support.get(tuple(T), tuple([0] * (self.weight.n + 1)))
-
     def metadata_like(self, other) -> bool:
         return (self.p == other.p and self.N == other.N
                 and self.weight == other.weight

@@ -32,7 +32,6 @@ order tracking).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .arith import Fp, Fp2, Series1, all_zetas, find_zeta
 
@@ -287,22 +286,14 @@ class DieudonneModel:
     Vhat: tuple
     Fhat: tuple
 
-    def _series(self, c):
-        return Series1.const(self.base, self.cutoff, c)
-
-    @lru_cache(maxsize=None)
-    def _twisted(self, which: str, s: int):
-        M = self.Vhat if which == "V" else self.Fhat
-        return tuple(tuple(e.frobenius_substitute(s) for e in row) for row in M)
-
     def apply(self, which: str, s: int, vec):
         """Matrix-vector product with the s-fold twisted operator matrix."""
-        M = self._twisted(which, s)
+        M = self.Vhat if which == "V" else self.Fhat
         out = []
-        for i in range(4):
+        for row in M:
             acc = Series1.zero(self.base, self.cutoff)
-            for j in range(4):
-                acc = acc.add(M[i][j].mul(vec[j]))
+            for e, v in zip(row, vec):
+                acc = acc.add(e.frobenius_substitute(s).mul(v))
             out.append(acc)
         return tuple(out)
 

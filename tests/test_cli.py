@@ -119,6 +119,29 @@ def test_domain_error_exit_1(tmp_path, capsys):
     assert "coprime" in capsys.readouterr().err
     assert run(["theta", "--op", "big", str(tmp_path / "missing.smf"),
                 "-o", str(out)]) == 1
+    capsys.readouterr()
+    # a negative power, and an ell that divides p, rejected before any index
+    assert run(["hecke", "eigen", "--ell", "2", "--power", "-1",
+                str(src)]) == 1
+    assert "power i must be >= 0" in capsys.readouterr().err
+    assert run(["hecke", "--ell", "2", "--power", "-2", "--targets",
+                str(targets), str(src), "-o", str(out)]) == 1
+    assert "power i must be >= 0" in capsys.readouterr().err
+    assert run(["hecke", "eigen", "--ell", "5", str(src)]) == 1
+    assert "coprime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["1 2", "1 x 2"])
+def test_hecke_malformed_targets_line(tmp_path, capsys, line):
+    src, _ = write_form(tmp_path, p=5)
+    targets = tmp_path / "t.txt"
+    targets.write_text(f"# header\n0 0 0\n{line}\n", encoding="utf-8")
+    assert run(["hecke", "--ell", "2", "--targets", str(targets),
+                "--assume-complete", str(src),
+                "-o", str(tmp_path / "out.smf")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{targets}:3: expected three integers")
+    assert repr(line) in err
 
 
 def test_usage_error_exit_2():

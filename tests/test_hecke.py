@@ -9,6 +9,7 @@ from siegelmodp.hecke import (HeckeError, constant_term_multiplier,
                               p1_representatives, required_indices)
 from siegelmodp.qexp import QExpansion
 from siegelmodp.rep import Weight
+from siegelmodp.theta import theta_j
 
 
 def mk(p, N, weight, support, **kw):
@@ -48,6 +49,8 @@ def test_p1_random_scheme_same_classes():
 def test_p1_errors():
     with pytest.raises(HeckeError, match="coprime"):
         p1_representatives(3, 1, 3)
+    with pytest.raises(HeckeError, match="unknown lift scheme"):
+        p1_representatives(2, 1, 3, scheme="CRT")
 
 
 def test_index_transform_matches_matrix_congruence():
@@ -168,18 +171,38 @@ def test_ell_coprimality_errors():
         hecke_coefficient(F, 5, 1, (0, 0, 0), assume_complete=True)
     with pytest.raises(HeckeError, match="coprime"):
         hecke_coefficient(F, 3, 1, (0, 0, 0), assume_complete=True)
+    with pytest.raises(HeckeError, match="coprime"):
+        eigenvalue(F, 5, 1, assume_complete=True)
+    with pytest.raises(HeckeError, match="power i must be >= 0"):
+        hecke_coefficient(F, 2, -1, (0, 0, 0), assume_complete=True)
+    with pytest.raises(HeckeError, match="power i must be >= 0"):
+        eigenvalue(F, 2, -1)
 
 
 def test_tensor_normalization_matches_plain():
-    rng = random.Random(2)
-    p, N, ell = 5, 3, 2
-    # weight (k1+p, k2+p) as the theta_2 image of pre-weight (k1, k2)
-    k1, k2 = 5, 3
-    support = {}
-    for T2 in required_indices(ell, 1, (1, 0, 1), N) | {(1, 0, 1)}:
-        support[T2] = tuple(rng.randrange(p) for _ in range(k1 - k2 + 1))
-    F = mk(p, N, (k1 + p, k2 + p), support)
-    plain = hecke_coefficient(F, ell, 1, (1, 0, 1), assume_complete=True)
-    tens = hecke_coefficient(F, ell, 1, (1, 0, 1), assume_complete=True,
-                             tensor=(k1, k2, 1))
-    assert plain == tens
+    """A tensor normalization (ell-exponents from the pre-image weight of a
+    theta operator, times ell^(-j beta) for Pieri component j, 0 the largest)
+    would equal the plain one at the image weight: the exponents agree as
+    integers for each of the three theta_j images."""
+    for p, pre in ((5, (4, 2)), (7, (7, 4)), (11, (9, 3))):
+        k1p, k2p = pre
+        F = mk(p, 4, pre, {(1, 0, 1): (1,) * (k1p - k2p + 1)})
+        for j, op in ((0, 3), (1, 2), (2, 1)):
+            w = theta_j(F, op).weight
+            for beta in range(4):
+                for gamma in range(4):
+                    tensor = (beta * (k1p + p - 1)
+                              + gamma * (k1p + k2p + 2 * p - 3) - j * beta)
+                    plain = beta * (w.k1 - 2) + gamma * (w.k1 + w.k2 - 3)
+                    assert tensor == plain, (p, pre, j, beta, gamma)
+
+
+def test_random_scheme_checks_the_lifts_it_reads():
+    # F holds exactly the inputs of the CRT lifts; the random lifts of
+    # seed 3 read (2, 12, 20) and (41, 1986, 24050) instead
+    F = mk(7, 3, (4, 4), {(2, 0, 2): (1,), (5, 6, 2): (1,)})
+    assert required_indices(2, 1, (1, 0, 1), 3) == set(F.support)
+    assert hecke_coefficient(F, 2, 1, (1, 0, 1)).coords == (5,)
+    with pytest.raises(HeckeError, match=r"missing required indices: "
+                       r"\[\(2, 12, 20\), \(41, 1986, 24050\)\]"):
+        hecke_coefficient(F, 2, 1, (1, 0, 1), scheme="random", seed=3)
