@@ -24,21 +24,50 @@ from functools import lru_cache
 # primes
 # ---------------------------------------------------------------------------
 
+# The first 13 primes.  Miller-Rabin to these bases is exact below
+# _PRIME_BOUND (Sorenson and Webster, Math. Comp. 86 (2017)); the first 12
+# alone are exact only below 3.2e23.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test (adequate for the sizes used here)."""
-    if n < 2:
+    """Deterministic primality test, exact for every n < 3.3e24.
+
+    Every n <= 41 is looked up, and numbers with a prime factor <= 41 are
+    decided by division; the rest by Miller-Rabin to the first 13 prime bases.
+    Raises ``ValueError`` when n >= 3317044064679887385961981 has no such
+    factor, since the test does not decide it.
+    """
+    if n <= 41:
+        return n in _SMALL_PRIMES
+    if any(n % q == 0 for q in _SMALL_PRIMES):
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n < 43 * 43:
+        return True
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"primality is only decided below {_PRIME_BOUND}, "
+                         f"got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 def _check_prime(p: int) -> None:
+    if p >= _PRIME_BOUND:
+        raise ValueError(f"p must be below {_PRIME_BOUND}, the bound of the "
+                         f"primality test, got {p}")
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
 

@@ -92,6 +92,7 @@ def _read_targets(path: str):
 
 def _cmd_hecke(args) -> int:
     F = _read_form(args.input)
+    hecke._check_operator(F, args.ell, args.power)
     targets = _read_targets(args.targets)
     support = {}
     for T in targets:

@@ -20,12 +20,21 @@ The ell-exponents are always taken at the expansion's own weight.  Each
 coefficient enumerates its branches once, with the caller's lift scheme: the
 completeness check reads the indices T' of exactly the branches that the sum
 uses, so an absent input is an error, never a silent zero.
+
+The parts of the sum that do not depend on F or T are built once per
+operator and kept in a small LRU cache keyed by (ell, i, N, n, p, scheme,
+seed): for each beta <= i, the lifts R(ell^beta) as a tuple of frozen
+:class:`P1Rep`, and for each lift the matrix of
+ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of rows.
+The cache holds only immutable values, and ``p1_representatives`` still
+returns a fresh list to its callers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .qexp import QExpansion, QExpError, check_index
@@ -136,29 +145,33 @@ def index_transform(U, T):
     return a_U, b_U, c_U
 
 
-def _branches(ell: int, i: int, T, reps_by_beta):
-    """Yield (beta, gamma, U, T') over all contributing branches."""
-    a, b, c = T
+def _branches(ell: int, i: int, T, lifts_by_beta):
+    """Yield (beta, gamma, k, T') over all contributing branches.
+
+    ``k`` indexes the lift U in ``lifts_by_beta[beta]``.  U T tU is computed
+    once per (beta, U); the gamma filters are nested, so the first failing
+    gamma ends the loop.
+    """
+    power = [ell ** j for j in range(i + 1)]
     for beta in range(i + 1):
-        for gamma in range(i - beta + 1):
-            alpha = i - beta - gamma
-            lbg = ell ** (beta + gamma)
-            lg = ell ** gamma
-            for rep in reps_by_beta[beta]:
-                a_U, b_U, c_U = index_transform(rep.matrix, T)
+        lb = power[beta]
+        for k, rep in enumerate(lifts_by_beta[beta]):
+            a_U, b_U, c_U = index_transform(rep.matrix, T)
+            for gamma in range(i - beta + 1):
+                lg = power[gamma]
+                lbg = lb * lg
                 if a_U % lbg or b_U % lg or c_U % lg:
-                    continue
-                la = ell ** alpha
-                T2 = (la * (a_U // lbg),
-                      la * (b_U // lg),
-                      la * ((c_U // lg) * ell ** beta))
-                yield beta, gamma, rep, T2
+                    break
+                la = power[i - beta - gamma]
+                yield beta, gamma, k, (la * (a_U // lbg),
+                                       la * (b_U // lg),
+                                       la * (c_U // lg) * lb)
 
 
 def required_indices(ell: int, i: int, T, N: int) -> set:
     """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
-    reps = {beta: p1_representatives(ell, beta, N) for beta in range(i + 1)}
-    return {T2 for *_, T2 in _branches(ell, i, check_index(T), reps)}
+    lifts = [p1_representatives(ell, beta, N) for beta in range(i + 1)]
+    return {T2 for *_, T2 in _branches(ell, i, check_index(T), lifts)}
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +186,52 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
         raise HeckeError("ell must be coprime to p and the level")
 
 
+# Plans of the operators in use.  One takes about 2 kB for a scalar T(2),
+# 32 kB at ell = 3, i = 2, n = 10 and 160 kB at n = 30.
+_PLAN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(ell: int, i: int, N: int, n: int, p: int, scheme: str,
+          seed: int) -> tuple:
+    """(lifts, matrices), each a tuple indexed by beta <= i.
+
+    ``lifts[beta]`` are the lifts of P^1(Z/ell^beta).  The matrix of a lift
+    U is ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p, as rows: row t
+    is the image of the basis vector u_t.
+    """
+    linv = pow(ell % p, p - 2, p)
+    weight = Weight(n, 0)
+    basis = [RepVector(n, 0, tuple(int(s == t) for s in range(n + 1)))
+             for t in range(n + 1)]
+    lifts_by_beta, matrices_by_beta = [], []
+    for beta in range(i + 1):
+        lifts = tuple(p1_representatives(ell, beta, N, scheme=scheme,
+                                         seed=seed))
+        lb = ell ** beta
+        scale = pow(linv, n * beta, p)
+        matrices = []
+        for rep in lifts:
+            # rho_n((diag(1, ell^beta) U)^(-1)) = ell^(-n beta) Sym^n(adj D)
+            (u1, u2), (x, y) = rep.matrix
+            adj = ((lb * y, -u2), (-lb * x, u1))
+            matrices.append(tuple(
+                tuple(scale * c % p for c in rep_apply(weight, adj, e, p).coords)
+                for e in basis))
+        lifts_by_beta.append(lifts)
+        matrices_by_beta.append(tuple(matrices))
+    return tuple(lifts_by_beta), tuple(matrices_by_beta)
+
+
 def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
                       assume_complete: bool = False,
                       scheme: str = "crt", seed: int = 0) -> RepVector:
     """Coefficient of T(ell^i)F at index T.
 
-    The lifts of P^1(Z/ell^beta) are built once with ``scheme``/``seed``
-    and their branches enumerated once.  Unless ``assume_complete`` is set,
-    every index T' those branches read must be in F's support, otherwise
+    The lifts of P^1(Z/ell^beta) come from the cached plan of
+    (ell, i, N, n, p, ``scheme``, ``seed``) and their branches are
+    enumerated once.  Unless ``assume_complete`` is set, every index T'
+    those branches read must be in F's support, otherwise
     :class:`HeckeError` names the missing ones; with it set, absent inputs
     count as zero.
     """
@@ -189,37 +240,32 @@ def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
     p = F.p
     k1, k2 = F.weight.k1, F.weight.k2
     n = F.weight.n
-    linv = pow(ell % p, p - 2, p)
+    lifts, matrices = _plan(ell, i, F.N, n, p, scheme, seed)
+    # mult[beta][gamma] = chi1(ell^beta) chi2(ell^gamma)
+    #                      * ell^(beta(k1-2) + gamma(k1+k2-3))
+    e1, e2 = pow(ell % p, k1 - 2, p), pow(ell % p, k1 + k2 - 3, p)
+    f1 = [F.chi1_at(ell ** j) * pow(e1, j, p) for j in range(i + 1)]
+    f2 = [F.chi2_at(ell ** j) * pow(e2, j, p) for j in range(i + 1)]
+    mult = [[x * y % p for y in f2] for x in f1]
 
-    reps = {beta: p1_representatives(ell, beta, F.N, scheme=scheme, seed=seed)
-            for beta in range(i + 1)}
-    branches = list(_branches(ell, i, T, reps))
+    branches = list(_branches(ell, i, T, lifts))
+    support = F.support
     if not assume_complete:
-        missing = sorted({T2 for *_, T2 in branches}.difference(F.support))
+        missing = sorted({T2 for *_, T2 in branches}.difference(support))
         if missing:
             raise HeckeError(f"missing required indices: {missing}")
 
     out = [0] * (n + 1)
-    for beta, gamma, rep, T2 in branches:
-        coeff_vec = F.support.get(T2)
-        if coeff_vec is None:
+    for beta, gamma, k, T2 in branches:
+        coeff_vec = support.get(T2)
+        m = mult[beta][gamma]
+        if coeff_vec is None or m == 0:
             continue
-        exp = beta * (k1 - 2) + gamma * (k1 + k2 - 3)
-        mult = (F.chi1_at(ell ** beta) * F.chi2_at(ell ** gamma)
-                * pow(ell % p, exp, p)) % p
-        if mult == 0:
-            continue
-        # rho_n((diag(1, ell^beta) U)^(-1)) = ell^(-n beta) * Sym^n(adj D)
-        (u1, u2), (x, y) = rep.matrix
-        lb = ell ** beta
-        D = ((u1, u2), (lb * x, lb * y))
-        adj = ((D[1][1], -D[0][1]), (-D[1][0], D[0][0]))
-        v = RepVector(n, 0, coeff_vec)
-        v = rep_apply(Weight(n, 0), adj, v, p)
-        scale = mult * pow(linv, n * beta, p) % p
-        for t, cv in enumerate(v.coords):
-            out[t] = (out[t] + scale * cv) % p
-    return RepVector(n, k2, tuple(out))
+        for c, row in zip(coeff_vec, matrices[beta][k]):
+            if c:
+                c *= m
+                out = [o + c * r for o, r in zip(out, row)]
+    return RepVector(n, k2, tuple(o % p for o in out))
 
 
 def eigenvalue(F: QExpansion, ell: int, i: int,

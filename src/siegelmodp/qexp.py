@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .arith import is_prime
+from .arith import _check_prime
 from .rep import Weight
 
 
@@ -51,8 +51,10 @@ class QExpansion:
     chi2: tuple | None = None
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p < 5:
-            raise QExpError(f"p must be a prime >= 5, got {self.p}")
+        try:
+            _check_prime(self.p)
+        except ValueError as e:
+            raise QExpError(str(e)) from None
         if self.N < 3:
             raise QExpError("level N must be >= 3")
         from math import gcd

@@ -1,15 +1,43 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelmodp.arith import (Fp, Fp2, Series1, Series3, all_zetas, find_zeta,
-                              is_prime, prime_factors)
+from siegelmodp.arith import (Fp, Fp2, Series1, Series3, _check_prime,
+                              all_zetas, find_zeta, is_prime, prime_factors)
 
 
 def test_is_prime():
     assert [n for n in range(2, 32) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == \
+        [n for n in range(-3, 20000) if _trial_division(n)]
+
+
+def test_is_prime_large():
+    assert is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1)
+    # strong pseudoprimes to every prime base up to 23, and up to 37
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    # the smallest strong pseudoprime to the first 13 prime bases is the
+    # bound of the test: composites with a small factor are still decided
+    bound = 3317044064679887385961981
+    assert not is_prime(2 * bound)
+    with pytest.raises(ValueError, match="only decided below"):
+        is_prime(bound)
+    for p in (bound, bound + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"p must be below {bound}"):
+            _check_prime(p)
+    _check_prime(10 ** 18 + 3)
 
 
 def test_prime_factors():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -129,6 +131,27 @@ def test_domain_error_exit_1(tmp_path, capsys):
     assert "power i must be >= 0" in capsys.readouterr().err
     assert run(["hecke", "eigen", "--ell", "5", str(src)]) == 1
     assert "coprime" in capsys.readouterr().err
+    # the operator is validated before the targets, so an empty list fails too
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    assert run(["hecke", "--ell", "2", "--power", "-2", "--targets",
+                str(empty), str(src), "-o", str(out)]) == 1
+    assert "power i must be >= 0" in capsys.readouterr().err
+    assert run(["hecke", "--ell", "5", "--targets", str(empty), str(src),
+                "-o", str(out)]) == 1
+    assert "coprime" in capsys.readouterr().err
+
+
+def test_hecke_eigen_at_a_large_prime(tmp_path, capsys):
+    src, _ = write_form(tmp_path, p=10 ** 18 + 3,
+                        support={(0, 0, 0): (1,)})
+    assert len(src.read_text(encoding="utf-8").splitlines()) == 7
+    t0 = time.monotonic()
+    assert run(["hecke", "eigen", "--ell", "2", "--assume-complete",
+                str(src)]) == 0
+    assert time.monotonic() - t0 < 2.0
+    # 1 + 3 * 2^2 + 2^5 at weight (4, 4)
+    assert json.loads(capsys.readouterr().out)["lambda"] == 45
 
 
 @pytest.mark.parametrize("line", ["1 2", "1 x 2"])
@@ -142,6 +165,14 @@ def test_hecke_malformed_targets_line(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert err.startswith(f"{targets}:3: expected three integers")
     assert repr(line) in err
+
+
+def test_check_all_output_is_pinned(capsys):
+    """The printed numbers of every check suite, byte for byte."""
+    assert run(["check", "--suite", "all", "--p", "5,7,11,13"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == \
+        "6ba4c1d378f97566009dc7b7752661420d21099c679be9db3989354b589758e3"
 
 
 def test_usage_error_exit_2():

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+import hecke_oracle
 from siegelmodp.hecke import (HeckeError, constant_term_multiplier,
                               eigenvalue, gauss_reduce, hecke_coefficient,
                               index_transform, p1_classes,
@@ -206,3 +207,70 @@ def test_random_scheme_checks_the_lifts_it_reads():
     with pytest.raises(HeckeError, match=r"missing required indices: "
                        r"\[\(2, 12, 20\), \(41, 1986, 24050\)\]"):
         hecke_coefficient(F, 2, 1, (1, 0, 1), scheme="random", seed=3)
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw).coords
+    except HeckeError as exc:
+        return str(exc)
+
+
+def _oracle_form(rng, p, N, n, ell, i, targets, lifts, keep):
+    """A form of degree n with random data on a share ``keep`` of the
+    indices that the targets read under every lift choice."""
+    needed = set()
+    for scheme, seed in lifts:
+        reps = {b: p1_representatives(ell, b, N, scheme=scheme, seed=seed)
+                for b in range(i + 1)}
+        for T in targets:
+            needed |= {T2 for *_, T2 in hecke_oracle.branches(ell, i, T, reps)}
+    support = {T2: tuple(rng.randrange(p) for _ in range(n + 1))
+               for T2 in sorted(needed) if rng.random() < keep}
+    k2 = rng.randrange(2, 6)
+    chi1 = chi2 = None
+    if rng.random() < 0.5:
+        chi1 = tuple(rng.randrange(p) for _ in range(N))
+        chi2 = [rng.randrange(p) for _ in range(N)]
+        chi2[N - 1] = (-1) ** n % p   # parity chi2(-1) = (-1)^(k1+k2)
+        chi2 = tuple(chi2)
+    return mk(p, N, (k2 + n, k2), support, chi1=chi1, chi2=chi2)
+
+
+@pytest.mark.parametrize("ell,N,primes", [(2, 3, (5, 7)), (3, 4, (5, 7)),
+                                          (5, 3, (7,))])
+def test_plan_matches_per_call_oracle(ell, N, primes):
+    """The cached plan gives the oracle's numbers and errors.  Calls that
+    differ only in seed, scheme, n or p are interleaved, so a plan built
+    for one of them and reused for another would show."""
+    rng = random.Random(100 * ell + N)
+    lifts = [("crt", 0), ("random", 0), ("random", 1), ("random", 5)]
+    for i in (0, 1, 2):
+        targets = []
+        while len(targets) < 3:
+            a, c = rng.randrange(4), rng.randrange(4)
+            b = rng.randrange(-2, 3)
+            if b * b <= 4 * a * c:
+                targets.append((a, b, c))
+        forms = {(p, n, keep): _oracle_form(rng, p, N, n, ell, i, targets,
+                                            lifts, keep)
+                 for p in primes for n in (0, 1, p - 1)
+                 for keep in (1.0, 0.8)}
+        for T in targets:
+            for scheme, seed in lifts:
+                for (p, n, keep), F in forms.items():
+                    for complete in (False, True):
+                        args = (F, ell, i, T)
+                        kw = dict(assume_complete=complete, scheme=scheme,
+                                  seed=seed)
+                        want = _outcome(hecke_oracle.hecke_coefficient,
+                                        *args, **kw)
+                        assert _outcome(hecke_coefficient, *args, **kw) \
+                            == want, (ell, i, T, scheme, seed, p, n, keep,
+                                      complete)
+
+
+def test_p1_representatives_returns_a_fresh_list():
+    reps = p1_representatives(3, 1, 4)
+    reps.clear()
+    assert len(p1_representatives(3, 1, 4)) == 4
