@@ -227,14 +227,6 @@ class Fp2:
             for b in range(self.p):
                 yield (a, b)
 
-    def multiplicative_order(self, x) -> int:
-        n = self.p * self.p - 1
-        order = n
-        for q in prime_factors(n):
-            while order % q == 0 and self.eq(self.pow(x, order // q), self.one):
-                order //= q
-        return order
-
     def generator(self):
         """The lexicographically smallest generator of the multiplicative group."""
         n = self.p * self.p - 1
@@ -272,9 +264,13 @@ def find_zeta(p: int):
 
 
 def all_zetas(p: int):
-    """All (p+1)-th roots of -1 in F_{p^2} (there are exactly p+1)."""
+    """All p+1 of the (p+1)-th roots of -1 in F_{p^2}, sorted.
+
+    find_zeta(p) has order 2(p+1), so the roots are its odd powers.
+    """
     K = Fp2(p)
-    return [x for x in K.elements() if K.eq(K.pow(x, p + 1), K.neg(K.one))]
+    zeta = find_zeta(p)
+    return sorted(K.pow(zeta, 2 * j + 1) for j in range(p + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -150,15 +150,13 @@ def _connection(detA: Series3):
     return c11, c12, c22
 
 
-def step3_paths(F: Series3, detA: Series3, k: int,
-                drop_cross_term: bool = False):
+def step3_paths(F: Series3, detA: Series3, k: int):
     """Theta~(F) by (i) stepwise composition, (ii) the closed form.
 
     Path (i) applies the first covariant-derivative step, then the nine
     second-step coefficients, then the projection onto the scalar component
     (1/3, -1/6, 1/3 on the three diagonal entries).  Path (ii) evaluates the
-    closed form directly from F and the connection.  ``drop_cross_term``
-    removes the (2k-1)/3 cross term from path (ii) (mutation testing).
+    closed form directly from F and the connection.
     """
     p = F.p
     c11, c12, c22 = _connection(detA)
@@ -186,17 +184,15 @@ def step3_paths(F: Series3, detA: Series3, k: int,
     quad = c11.mul(c22).sub(c12.mul(c12))
     middle = (curv.scal((-k) % p * third % p)
               .add(quad.scal(2 * k * (k - 1) % p * third % p)))
-    path2 = _D(F).scal(two_thirds).add(F.mul(middle))
-    if not drop_cross_term:
-        cross = (c12.mul(F.derivation("t12"))
-                 .sub(c11.mul(F.derivation("t22")))
-                 .sub(c22.mul(F.derivation("t11"))))
-        path2 = path2.add(cross.scal((2 * k - 1) * third % p))
+    cross = (c12.mul(F.derivation("t12"))
+             .sub(c11.mul(F.derivation("t22")))
+             .sub(c22.mul(F.derivation("t11"))))
+    path2 = (_D(F).scal(two_thirds).add(F.mul(middle))
+             .add(cross.scal((2 * k - 1) * third % p)))
     return path1, path2
 
 
-def step3_identity_check(F: Series3, detA: Series3, k: int, K: int,
-                         drop_cross_term: bool = False) -> bool:
+def step3_identity_check(F: Series3, detA: Series3, k: int, K: int) -> bool:
     """True when both evaluation paths agree truncated below degree K.
 
     Inputs should be built at cutoff at least K + 2: the stepwise path takes
@@ -204,6 +200,6 @@ def step3_identity_check(F: Series3, detA: Series3, k: int, K: int,
     """
     if K < 4:
         raise LocalDefError("cutoff K must be at least 4")
-    path1, path2 = step3_paths(F, detA, k, drop_cross_term=drop_cross_term)
+    path1, path2 = step3_paths(F, detA, k)
     bound = min(K, F.cutoff - 2, detA.cutoff - 2)
     return path1.truncate_below(bound) == path2.truncate_below(bound)

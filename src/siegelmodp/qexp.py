@@ -130,7 +130,6 @@ def parse(text: str) -> QExpansion:
         raise QExpError("line 1: missing %SMF v1 magic")
     headers = {}
     support = {}
-    weight = None
     for ln, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -146,35 +145,32 @@ def parse(text: str) -> QExpansion:
                 if T in support:
                     raise QExpError(f"duplicate index {T}")
                 support[T] = vec
+                continue
+            key, _, rest = line.partition(" ")
+            if key not in ("p", "N", "weight", "chi1", "chi2"):
+                raise QExpError(f"unknown header {key!r}")
+            if key in headers:
+                raise QExpError(f"duplicate header {key!r}")
+            if key in ("p", "N"):
+                headers[key] = int(rest)
+            elif key == "weight":
+                k1, k2 = rest.split()
+                headers[key] = Weight(int(k1), int(k2))
             else:
-                key, _, rest = line.partition(" ")
-                if key in ("p", "N"):
-                    headers[key] = int(rest)
-                elif key == "weight":
-                    k1, k2 = rest.split()
-                    weight = Weight(int(k1), int(k2))
-                elif key in ("chi1", "chi2"):
-                    rest = rest.strip()
-                    if rest == "trivial":
-                        headers[key] = None
-                    elif rest.startswith("table:"):
-                        headers[key] = tuple(int(v) for v in rest[6:].split())
-                    else:
-                        raise QExpError(f"bad character spec {rest!r}")
+                rest = rest.strip()
+                if rest == "trivial":
+                    headers[key] = None
+                elif rest.startswith("table:"):
+                    headers[key] = tuple(int(v) for v in rest[6:].split())
                 else:
-                    raise QExpError(f"unknown header {key!r}")
-        except QExpError as e:
+                    raise QExpError(f"bad character spec {rest!r}")
+        except ValueError as e:  # QExpError, int() and unpacking
             raise QExpError(f"line {ln}: {e}") from None
-        except Exception as e:
-            raise QExpError(f"line {ln}: {e}") from None
-    if "p" not in headers or "N" not in headers or weight is None:
+    if not {"p", "N", "weight"} <= headers.keys():
         raise QExpError("missing required header (p, N or weight)")
-    try:
-        return QExpansion(p=headers["p"], N=headers["N"], weight=weight,
-                          support=support,
-                          chi1=headers.get("chi1"), chi2=headers.get("chi2"))
-    except QExpError as e:
-        raise QExpError(str(e)) from None
+    return QExpansion(p=headers["p"], N=headers["N"], weight=headers["weight"],
+                      support=support,
+                      chi1=headers.get("chi1"), chi2=headers.get("chi2"))
 
 
 # ---------------------------------------------------------------------------

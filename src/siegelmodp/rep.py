@@ -221,25 +221,3 @@ def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:
             add(k + 2, 0, q)
     return {key: c % p for key, c in acc.items() if c % p}
 
-
-def tensor_action(n: int, m: int, g, x: dict, p: int) -> dict:
-    """Apply g to x in V(n, m) tensor V(2, 0), factorwise (external coords)."""
-    out = {}
-    wn = Weight(n + m, m)
-    w2 = Weight(2, 0)
-    for (i, j), c in x.items():
-        if c % p == 0:
-            continue
-        vi = RepVector(n, m, tuple(1 if t == i else 0 for t in range(n + 1)))
-        vj = RepVector(2, 0, tuple(1 if t == j else 0 for t in range(3)))
-        gi = rep_apply(wn, g, vi, p)
-        gj = rep_apply(w2, g, vj, p)
-        for a, ca in enumerate(gi.coords):
-            if ca == 0:
-                continue
-            for b, cb in enumerate(gj.coords):
-                if cb == 0:
-                    continue
-                key = (a, b)
-                out[key] = (out.get(key, 0) + c * ca * cb) % p
-    return {k: v for k, v in out.items() if v % p}

@@ -407,8 +407,7 @@ class ChaseResult:
         return min(orders) if orders else None
 
 
-def chase(model: DieudonneModel, word, start, line_data=None,
-          level: int = 0) -> ChaseResult:
+def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
     """Run a semilinear word on a starting vector.
 
     ``word`` is a sequence of steps:
@@ -424,15 +423,12 @@ def chase(model: DieudonneModel, word, start, line_data=None,
       lambda * (twisted generator of line ``name``) modulo its relations
       and record lambda as the accumulated multiplier.
 
-    ``start`` may be a 4-sequence / dict of coefficients or a tuple
-    ``(entries, twist)`` pre-twisted by the engine.
+    ``start`` is a pair ``(entries, level)``: a 4-sequence or dict of
+    coefficients, twisted by the engine to the level the chase starts at.
     """
     line_data = line_data or {}
-    if isinstance(start, tuple) and len(start) == 2 and isinstance(start[1], int):
-        vec = _twist_vec(_vec(model, start[0]), start[1])
-        level = start[1]
-    else:
-        vec = _vec(model, start)
+    entries, level = start
+    vec = _twist_vec(_vec(model, entries), level)
     multiplier = None
     for step in word:
         op = step[0]
@@ -595,30 +591,18 @@ def partial_hasse_order(phi, p: int, variant: int | None = None,
             gen_name = "B1e2" if variant == 1 else "B1e3"
             res_a = chase(model, [("invV", "B2", 1, gen_name), ("F",),
                                   ("extract", gen_name)],
-                          ({1: 1} if variant == 1 else {2: 1}, 2), lines)
+                          (lines[gen_name].gen, 2), lines)
             res_b = chase(model, [("F",), ("F",), ("extract", "B0")],
-                          ({1: -1, 2: Series1.monomial(model.base, K, 1)}, 2),
-                          lines)
-            total = res_a.multiplier.mul(res_b.multiplier)
-            return _order_of(total, K)
-
-        # phi == (0, 1)
-        model, lines = model_0_1(p, K, zeta=zeta)
-        B = model.base
-        if zeta is None:
-            zeta = find_zeta(p)
-        t = Series1.monomial(B, K, 1)
-        u1 = {0: Series1.const(B, K, B.one).neg(), 2: t, 3: t.scal(zeta)}
-        res_1 = chase(model, [("F",), ("invV", "B3", 2, "B0"), ("F",),
-                              ("extract", "B1")],
-                      (u1, 4), lines)
-        zinv = B.inv(zeta)
-        b0 = {0: B.one, 1: B.neg(zinv)}
-        res_0 = chase(model, [("invV", "B3", 2, "B0"), ("F",), ("F",),
-                              ("extract", "B0")],
-                      (b0, 4), lines)
-        total = res_1.multiplier.mul(res_0.multiplier)
-        return _order_of(total, K)
+                          (lines["B0"].gen, 2), lines)
+        else:  # phi == (0, 1)
+            model, lines = model_0_1(p, K, zeta=zeta)
+            res_a = chase(model, [("F",), ("invV", "B3", 2, "B0"), ("F",),
+                                  ("extract", "B1")],
+                          (lines["B1"].gen, 4), lines)
+            res_b = chase(model, [("invV", "B3", 2, "B0"), ("F",), ("F",),
+                                  ("extract", "B0")],
+                          (lines["B0"].gen, 4), lines)
+        return _order_of(res_a.multiplier.mul(res_b.multiplier), K)
     except ChaseError:
         # on these fixed models the only failure source is truncation:
         # a chase that degenerates below the cutoff means K was too small

@@ -15,16 +15,16 @@ theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 =============  =====================================
 
 Characters are unchanged.  Constant prefactors (2/3 for the big operator,
-1/18 in the four-fold closed form) are used exactly as given; the measured
-proportionality constant between the four-fold iterate and its closed form
-is reported, not repaired.
+1/18 in the four-fold closed form) are used exactly as given.  The tests
+measure the constant between the literal four-fold theta_2 iterate and its
+closed form; the library does not report it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from .qexp import QExpansion, QExpError
+from .qexp import QExpansion
 from .rep import RepVector, Weight, pieri_split, sym2_of_index
 
 
@@ -44,19 +44,35 @@ def _require_scalar(F: QExpansion, name: str):
                          f"({F.weight.k1},{F.weight.k2})")
 
 
+def _build(F: QExpansion, weight: Weight, coefficient) -> QExpansion:
+    """The form of the given weight whose coefficient at T is
+    ``coefficient(T, A_F(T))``, a tuple; zero coefficients are dropped."""
+    support = {}
+    for T, vec in F.support.items():
+        new = coefficient(T, vec)
+        if any(new):
+            support[T] = new
+    return replace(F, weight=weight, support=support)
+
+
+def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:
+    """F with its coefficient at T multiplied by (c det T)^e."""
+    p = F.p
+
+    def coefficient(T, vec):
+        mult = pow(c * _det_index(T, p) % p, e, p)
+        return tuple(mult * v % p for v in vec)
+    return _build(F, weight, coefficient)
+
+
 def theta_scalar(F: QExpansion) -> QExpansion:
     """Scalar theta: coefficient at T becomes (1/N) A_F(T) (a, b, c) in V(2)."""
     _require_scalar(F, "theta_scalar")
     p = F.p
     ninv = pow(F.N % p, p - 2, p)
     k = F.weight.k1
-    support = {}
-    for T, (A,) in F.support.items():
-        s = sym2_of_index(T, p)
-        vec = tuple(A * ninv * x % p for x in s.coords)
-        if any(vec):
-            support[T] = vec
-    return replace(F, weight=Weight(k + p + 1, k + p - 1), support=support)
+    return _build(F, Weight(k + p + 1, k + p - 1), lambda T, vec: tuple(
+        vec[0] * ninv * x % p for x in sym2_of_index(T, p).coords))
 
 
 def big_theta(F: QExpansion, m: int = 1) -> QExpansion:
@@ -67,13 +83,7 @@ def big_theta(F: QExpansion, m: int = 1) -> QExpansion:
     p = F.p
     k = F.weight.k1
     base = 2 * pow(3, p - 2, p) * pow(F.N % p, 2 * (p - 2), p) % p
-    support = {}
-    for T, (A,) in F.support.items():
-        mult = pow(base * _det_index(T, p) % p, m, p)
-        if mult * A % p:
-            support[T] = (mult * A % p,)
-    return replace(F, weight=Weight(k + m * (p + 1), k + m * (p + 1)),
-                   support=support)
+    return _det_power(F, base, m, Weight(k + m * (p + 1), k + m * (p + 1)))
 
 
 _WEIGHT_SHIFT = {1: (-1, +1), 2: (0, 0), 3: (+1, -1)}
@@ -125,23 +135,16 @@ def theta_j(F: QExpansion, j: int) -> QExpansion:
     n = F.weight.n
     _check_domain(n, p, j)
     d1, d2 = _WEIGHT_SHIFT[j]
-    new_weight = Weight(F.weight.k1 + p + d1, F.weight.k2 + p + d2)
-    support = {}
-    for T, vec in F.support.items():
-        comp = theta_j_coefficient(vec, T, n, p, F.N, j)
-        if not comp.is_zero():
-            support[T] = comp.coords
-    return replace(F, weight=new_weight, support=support)
+    return _build(F, Weight(F.weight.k1 + p + d1, F.weight.k2 + p + d2),
+                  lambda T, vec: theta_j_coefficient(
+                      vec, T, n, p, F.N, j).coords)
 
 
-def theta2_iterate_closed(F: QExpansion, m: int = 1):
+def theta2_iterate_closed(F: QExpansion, m: int = 1) -> QExpansion:
     """Closed form for the 4m-fold theta_2 iterate on weight (k+1, k).
 
-    Returns ``(G, report)``: G has coefficient multiplier
-    (det(T) / (18 N^2))^(2m) at T and weight shifted by 4m p on both
-    entries.  The report compares G against the literal 4m-fold iteration
-    of theta_2: ``report["proportional"]`` and ``report["mu"]`` give the
-    constant mu_m with iterate = mu_m * G when it exists.
+    The result has coefficient multiplier (det(T) / (18 N^2))^(2m) at T and
+    weight shifted by 4m p on both entries.
     """
     if F.weight.n != 1:
         raise ThetaError("theta2_iterate_closed requires weight (k+1, k)")
@@ -149,36 +152,8 @@ def theta2_iterate_closed(F: QExpansion, m: int = 1):
         raise ThetaError("iterate count must be >= 1")
     p = F.p
     base = pow(18 * pow(F.N, 2, p) % p, p - 2, p)
-    support = {}
-    for T, vec in F.support.items():
-        mult = pow(_det_index(T, p) * base % p, 2 * m, p)
-        nv = tuple(mult * v % p for v in vec)
-        if any(nv):
-            support[T] = nv
-    G = replace(F, weight=Weight(F.weight.k1 + 4 * m * p,
-                                 F.weight.k2 + 4 * m * p), support=support)
-
-    H = F
-    for _ in range(4 * m):
-        H = theta_j(H, 2)
-    report = {"proportional": True, "mu": None}
-    for T in sorted(set(G.support) | set(H.support)):
-        gv = G.support.get(T, (0, 0))
-        hv = H.support.get(T, (0, 0))
-        for gc, hc in zip(gv, hv):
-            if gc == 0 and hc == 0:
-                continue
-            if gc == 0 or hc == 0:
-                report["proportional"] = False
-                continue
-            mu = hc * pow(gc, p - 2, p) % p
-            if report["mu"] is None:
-                report["mu"] = mu
-            elif report["mu"] != mu:
-                report["proportional"] = False
-    if not F.support:
-        report["note"] = "proportional, mu arbitrary"
-    return G, report
+    return _det_power(F, base, 2 * m, Weight(F.weight.k1 + 4 * m * p,
+                                             F.weight.k2 + 4 * m * p))
 
 
 def big_theta_composite(F: QExpansion) -> QExpansion:
@@ -186,11 +161,6 @@ def big_theta_composite(F: QExpansion) -> QExpansion:
     lowest Pieri component of a second tensor with the index (scaled 1/N)."""
     G = theta_scalar(F)
     p = F.p
-    support = {}
-    for T, vec in G.support.items():
-        comp = theta_j_coefficient(vec, T, 2, p, F.N, 1)
-        if not comp.is_zero():
-            support[T] = comp.coords
     k = F.weight.k1
-    return replace(F, weight=Weight(k + p + 1, k + p + 1),
-                   support={T: v for T, v in support.items()})
+    return _build(G, Weight(k + p + 1, k + p + 1), lambda T, vec:
+                  theta_j_coefficient(vec, T, 2, p, F.N, 1).coords)

@@ -17,13 +17,16 @@ by the Leibniz rule.  The highest-weight vectors are
 
 and the component bases are f^(j)_i = E^i w_j / perm(n_j, i) with
 n_0 = n+2, n_1 = n, n_2 = n-2.
+
+``tensor_action`` applies g in GL_2 to a tensor factor by factor, for the
+equivariance tests of the split.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import perm
 
-from siegelmodp.rep import PieriSplit, RepVector
+from siegelmodp.rep import PieriSplit, RepVector, Weight, rep_apply
 
 
 def _pochhammer(m, i, p):
@@ -225,3 +228,26 @@ def pieri_reassemble(split, n, p):
         for key, val in col.items():
             acc[key] = (acc.get(key, 0) + v.coords[i] * val) % p
     return {(n - ib, 2 - jb): c for (ib, jb), c in acc.items() if c}
+
+
+def tensor_action(n: int, m: int, g, x: dict, p: int) -> dict:
+    """Apply g to x in V(n, m) tensor V(2, 0), factorwise (external coords)."""
+    out = {}
+    wn = Weight(n + m, m)
+    w2 = Weight(2, 0)
+    for (i, j), c in x.items():
+        if c % p == 0:
+            continue
+        vi = RepVector(n, m, tuple(1 if t == i else 0 for t in range(n + 1)))
+        vj = RepVector(2, 0, tuple(1 if t == j else 0 for t in range(3)))
+        gi = rep_apply(wn, g, vi, p)
+        gj = rep_apply(w2, g, vj, p)
+        for a, ca in enumerate(gi.coords):
+            if ca == 0:
+                continue
+            for b, cb in enumerate(gj.coords):
+                if cb == 0:
+                    continue
+                key = (a, b)
+                out[key] = (out.get(key, 0) + c * ca * cb) % p
+    return {k: v for k, v in out.items() if v % p}

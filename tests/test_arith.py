@@ -67,7 +67,16 @@ def test_fp2_field(p):
         assert K.eq(K.frob(x), K.pow(x, p))
         assert K.eq(K.frob(K.frob(x)), x)
     g = K.generator()
-    assert K.multiplicative_order(g) == p * p - 1
+    assert multiplicative_order(K, g) == p * p - 1
+
+
+def multiplicative_order(K, x) -> int:
+    n = K.p * K.p - 1
+    order = n
+    for q in prime_factors(n):
+        while order % q == 0 and K.eq(K.pow(x, order // q), K.one):
+            order //= q
+    return order
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -77,6 +86,18 @@ def test_zeta(p):
     assert K.eq(K.pow(z, p + 1), K.neg(K.one))
     zs = all_zetas(p)
     assert len(zs) == p + 1 and z in zs
+
+
+def test_all_zetas_matches_scan():
+    """The odd powers of find_zeta are exactly the roots a full scan of
+    F_{p^2} finds, in the scan's order."""
+    for p in range(5, 60):
+        if is_prime(p):
+            K = Fp2(p)
+            minus_one = K.neg(K.one)
+            scan = [x for x in K.elements()
+                    if K.eq(K.pow(x, p + 1), minus_one)]
+            assert all_zetas(p) == scan, p
 
 
 # ---------------------------------------------------------------------------

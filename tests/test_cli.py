@@ -190,6 +190,34 @@ def test_check_suite(capsys):
     assert run(["check", "--suite", "nope", "--p", "5"]) == 1
 
 
+@pytest.mark.parametrize("suite, primes, message", [
+    ("pieri", "2", "prime >= 5, got 2"),
+    ("pieri", "0", "prime >= 5, got 0"),
+    ("pieri", "-7", "prime >= 5, got -7"),
+    ("strata", "3", "prime >= 5, got 3"),
+    ("all", "5,9", "prime >= 5, got 9"),
+    ("all", "5,5", "--p lists 5 twice"),
+    ("cycles", "5,x", "--p expects comma-separated primes, got 'x'"),
+    ("pieri", "5,", "--p expects comma-separated primes, got ''"),
+    ("cycles", "1000003", "check runs at p <= 211, got 1000003"),
+    ("all", "223", "check runs at p <= 211, got 223"),
+])
+def test_check_refuses_bad_primes_before_any_suite(capsys, suite, primes,
+                                                    message):
+    t0 = time.monotonic()
+    assert run(["check", "--suite", suite, "--p", primes]) == 1
+    assert time.monotonic() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_strata_order_names_a_bad_phi(capsys):
+    for phi in ("x", "1", "1,2,3", "1,y"):
+        assert run(["strata", "order", "--phi", phi, "--p", "5"]) == 1
+        assert (f"--phi expects two comma-separated integers, got {phi!r}"
+                in capsys.readouterr().err)
+
+
 def test_deterministic_output(capsys):
     args = ["strata", "order", "--phi", "1,1", "--variant", "1", "--p", "5"]
     assert run(args) == 0

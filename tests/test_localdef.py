@@ -3,7 +3,8 @@ import random
 import pytest
 
 from siegelmodp.arith import Series3
-from siegelmodp.localdef import (LocalDefError, big_theta_local_value,
+from siegelmodp.localdef import (LocalDefError, _connection,
+                                 big_theta_local_value,
                                  hasse_form, step3_identity_check,
                                  step3_paths, theta1_local_leading,
                                  theta2_local_n1_leading, theta_local,
@@ -91,14 +92,22 @@ def test_step3_identity_random():
 
 
 def test_step3_mutation_detected():
+    """The check sees the (2k-1)/3 cross term: without it, path (ii) no
+    longer matches path (i) below the cutoff."""
     rng = random.Random(3)
-    p, K = 5, 5
+    p, K, k = 5, 5, 2   # (2k-1)/3 is nonzero mod 5
     found = False
     for _ in range(10):
         F = rand_series(rng, p, K + 2)
         detA = rand_series(rng, p, K + 2, unit=True)
-        # k = 2: the cross-term coefficient (2k-1)/3 is nonzero mod 5
-        if not step3_identity_check(F, detA, 2, K, drop_cross_term=True):
+        path1, path2 = step3_paths(F, detA, k)
+        assert path1.truncate_below(K) == path2.truncate_below(K)
+        c11, c12, c22 = _connection(detA)
+        cross = (c12.mul(F.derivation("t12"))
+                 .sub(c11.mul(F.derivation("t22")))
+                 .sub(c22.mul(F.derivation("t11"))))
+        mutated = path2.sub(cross.scal((2 * k - 1) * pow(3, p - 2, p) % p))
+        if path1.truncate_below(K) != mutated.truncate_below(K):
             found = True
             break
     assert found

@@ -68,6 +68,20 @@ def test_parse_errors_carry_line_numbers():
         parse(base + "bogus 1\n")
 
 
+@pytest.mark.parametrize("line", ["p 11", "N 5", "weight 6 6",
+                                  "chi1 trivial", "chi2 trivial"])
+def test_parse_rejects_a_repeated_header(line):
+    key = line.split()[0]
+    text = "%SMF v1\np 7\nN 3\nweight 4 4\nchi1 trivial\nchi2 trivial\n"
+    with pytest.raises(QExpError,
+                       match=f"^line 7: duplicate header '{key}'$"):
+        parse(text + line + "\n")
+    # the order of the two lines does not matter
+    lines = text.splitlines()
+    with pytest.raises(QExpError, match=f"duplicate header '{key}'"):
+        parse("\n".join(lines[:1] + [line] + lines[1:]) + "\n")
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(
     st.tuples(st.integers(0, 4), st.integers(-2, 2), st.integers(1, 4)),

@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
-from siegelmodp.qexp import QExpansion
+from siegelmodp.qexp import QExpansion, serialize
 from siegelmodp.rep import Weight, sym2_of_index
 from siegelmodp.theta import (ThetaError, big_theta, big_theta_composite,
                               theta2_iterate_closed, theta_j,
                               theta_j_coefficient, theta_scalar)
+from theta_oracle import iterate_ratios
 
 
 def mk(p, N, weight, support, **kw):
@@ -98,15 +100,14 @@ def test_theta2_iterate_closed_constant():
         # unit-determinant indices so the closed form is nonzero
         F = mk(p, 3, (4, 3), {(1, 0, 1): (1, 2), (1, 0, 2): (3, 1)})
         for m in (1, 2):
-            G, report = theta2_iterate_closed(F, m)
+            G = theta2_iterate_closed(F, m)
             assert G.weight == Weight(4 + 4 * m * p, 3 + 4 * m * p)
-            assert report["proportional"]
-            assert report["mu"] == pow(64, m, p)
-    # zero form: proportional with arbitrary constant
+            # the literal iterate is mu = 64^m times the closed form
+            assert iterate_ratios(F, m) == {pow(64, m, p)}
+    # zero form: both sides vanish, so any constant fits
     Z = mk(5, 3, (4, 3), {})
-    G, report = theta2_iterate_closed(Z)
-    assert report["proportional"] and report["mu"] is None
-    assert "arbitrary" in report.get("note", "")
+    assert theta2_iterate_closed(Z).support == {}
+    assert iterate_ratios(Z, 1) == set()
 
 
 def test_theta2_iterate_closed_requires_n1():
@@ -126,3 +127,97 @@ def test_theta_j_coefficient_matches_operator():
                 assert G.support[T] == comp.coords
             else:
                 assert T not in G.support
+
+
+def pin_form(p, n):
+    """A form of weight (4 + n, 4), level 5, on every index with
+    0 <= a, c <= 4 and |b| <= 4; its coefficients come from a formula, so
+    the outputs below do not depend on any random generator."""
+    support = {}
+    for a in range(5):
+        for c in range(5):
+            for b in range(-4, 5):
+                if b * b <= 4 * a * c:
+                    support[(a, b, c)] = tuple(
+                        (3 * a + 5 * b * b + 7 * c + 2 * a * c * i + i + 1) % p
+                        for i in range(n + 1))
+    return mk(p, 5, (4 + n, 4), support)
+
+
+def theta_outputs(p):
+    F0, F1 = pin_form(p, 0), pin_form(p, 1)
+    t2x4 = F1
+    for _ in range(4):
+        t2x4 = theta_j(t2x4, 2)
+    return {
+        "scalar": theta_scalar(F0),
+        "big1": big_theta(F0, 1),
+        "big2": big_theta(F0, 2),
+        "composite": big_theta_composite(F0),
+        "t1": theta_j(pin_form(p, 4), 1),
+        "t2": theta_j(pin_form(p, 3), 2),
+        "t3": theta_j(pin_form(p, 2), 3),
+        "t2x4": t2x4,
+        "t1_p-2": theta_j(pin_form(p, p - 2), 1),
+        "t1_p-1": theta_j(pin_form(p, p - 1), 1),
+        "closed1": theta2_iterate_closed(F1, 1),
+        "closed2": theta2_iterate_closed(F1, 2),
+    }
+
+
+# sha256 of serialize(output) at p = 11 and p = 13
+THETA_PINS = {
+    "scalar": (
+        "44a56e23231bdd9c8467d384ecd9e307b1553e4d7bd1ceb1120405f9efcb12c1",
+        "c787212381dde25f64120f66100aa748a0bfb6475ec969dae0422da473bb4bf6"),
+    "big1": (
+        "5dc5aad3f87c6c1f9f9b0472a8f19204622a7db4da16d25655c51fe1baa0f75d",
+        "5567c54beff607979469394e70b64f832ecc452eddf18e90ef63c9b4ccdce492"),
+    "big2": (
+        "947eb8f5b292b1abd702f64f667dc5b251f82456b62984eb0c041156ac02f821",
+        "ec64fd2aa480d1b7a2f63ebe5a91314daa51d30d660471322d2b54a593c4fa24"),
+    "composite": (
+        "5dc5aad3f87c6c1f9f9b0472a8f19204622a7db4da16d25655c51fe1baa0f75d",
+        "5567c54beff607979469394e70b64f832ecc452eddf18e90ef63c9b4ccdce492"),
+    "t1": (
+        "290d1408c6d72f5089a809f03147c823f3a206fecf95dfe3f36fad14146feb4e",
+        "1e85bf8a6caff2506c265ec7c5639346d707d12ef0d05400d90cc79d0372477b"),
+    "t2": (
+        "e110df806479e0e5ccb23e8a1119e862dbcee76bd367f0aa2c2defd291e91989",
+        "dc852c8a532195274b7eb0372fcbcba8b1c809fcf1441a68d2e2121ea385d31e"),
+    "t3": (
+        "1197e14c541cf9791dd4a8b7e0796b8228f73aa9037017006812af993e9507d4",
+        "851df5d9109f4f62640d2edc86b2c721e6c7cc893ed8160fdb6b58ae2766b85b"),
+    "t2x4": (
+        "722655e1edd36c3112444810a0e884abfdb2f66a5cfaf208ec5ec51d94f2a479",
+        "cf13e1128e90c6fd9c3735643b6e5a147a97ed33c928b1f60a66e6103c708737"),
+    "t1_p-2": (
+        "a677f703b349f15866ba9cfb4fa711fcdc9441189d795bea9173d56cae3feaf0",
+        "5263a1d74b8e1acb6ae400a10e682f8dcf6168816e41526b8e85de689146d6ce"),
+    "t1_p-1": (
+        "72ecf77a07c8444d9abcbcadf7bb43b1944624fa74bd3edf9ce5dd832f79fb8d",
+        "a30c8b2296bf4e5b9ff65e44dc30cb304bb5bcbc4c485e8382c825c946857fa5"),
+    "closed1": (
+        "320bde9b6e5afa0b8367e08d430bda0d30facc6c1615120205418797f82699c0",
+        "8b658b71190814a18ace144074167c2002dca62a0574a41cd6a002e7a895cf4d"),
+    "closed2": (
+        "c0dab491936806ad90dea50136f3b983d0f25af1b40a6bdb87376c0d2b9d7b91",
+        "7f43f65572d5e20730994b1e3c21c8e6b915ab9d2f4bf822fc8734ff40ca1ed7"),
+}
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_theta_outputs_are_pinned(p):
+    """Every operator's output, byte for byte, as first recorded."""
+    got = {name: hashlib.sha256(serialize(G).encode("utf-8")).hexdigest()
+           for name, G in theta_outputs(p).items()}
+    assert got == {name: pins[p == 13] for name, pins in THETA_PINS.items()}
+
+
+def test_theta_scalar_is_theta_3_on_scalar_forms():
+    for p in (7, 11, 13):
+        for k in (2, 5):
+            F = mk(p, 4, (k, k), rand_support(random.Random(p * k), p, 0, 8))
+            assert theta_scalar(F) == theta_j(F, 3)
+        F = pin_form(p, 0)
+        assert theta_scalar(F) == theta_j(F, 3)
