@@ -64,12 +64,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
+def _check_prime(p: int, error=ValueError) -> None:
+    """The one rule for p: a prime 5 <= p < 3.3e24, else raise ``error``."""
     if p >= _PRIME_BOUND:
-        raise ValueError(f"p must be below {_PRIME_BOUND}, the bound of the "
-                         f"primality test, got {p}")
+        raise error(f"p must be below {_PRIME_BOUND}, the bound of the "
+                    f"primality test, got {p}")
     if p < 5 or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+        raise error(f"p must be a prime >= 5, got {p}")
 
 
 def prime_factors(n: int) -> list[int]:
@@ -136,9 +137,6 @@ class Fp:
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
 
-    def elements(self):
-        return range(self.p)
-
     def __repr__(self):
         return f"Fp({self.p})"
 
@@ -164,9 +162,9 @@ class Fp2:
 
     @staticmethod
     def _least_nonresidue(p: int) -> int:
-        squares = {(x * x) % p for x in range(p)}
+        # Euler's criterion: r is a non-residue iff r^((p-1)/2) = -1
         for r in range(2, p):
-            if r not in squares:
+            if pow(r, (p - 1) // 2, p) == p - 1:
                 return r
         raise AssertionError("no quadratic non-residue found")
 
@@ -222,20 +220,16 @@ class Fp2:
     def eq(self, x, y) -> bool:
         return self.is_zero(self.sub(x, y))
 
-    def elements(self):
-        for a in range(self.p):
-            for b in range(self.p):
-                yield (a, b)
-
     def generator(self):
         """The lexicographically smallest generator of the multiplicative group."""
         n = self.p * self.p - 1
-        qs = prime_factors(n)
-        for x in self.elements():
-            if self.is_zero(x):
-                continue
-            if all(not self.eq(self.pow(x, n // q), self.one) for q in qs):
-                return x
+        # factor p - 1 and p + 1 apart, each in about sqrt(p) trial divisions
+        qs = set(prime_factors(self.p - 1) + prime_factors(self.p + 1))
+        # (a, 0) and (0, b) square into F_p, so neither can generate
+        for a in range(1, self.p):
+            for b in range(1, self.p):
+                if all(self.pow((a, b), n // q) != self.one for q in qs):
+                    return (a, b)
         raise AssertionError("no generator found")
 
     def __repr__(self):

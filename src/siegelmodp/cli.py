@@ -5,7 +5,7 @@ Subcommands::
     theta --op scalar|big|t1|t2|t3 [--iterations M] IN -o OUT
     hecke --ell L --power I --targets FILE [--assume-complete] IN -o OUT
     hecke eigen --ell L --power I IN
-    cycle --scalar|--vector --p P --k K
+    cycle --scalar|--vector --p P --k K     (p <= 10^6)
           [--semi-ordinary|--non-semi-ordinary] [--branch B]
     strata order --phi A,B [--variant 1|2] --p P [--cutoff K]
     strata tables
@@ -116,12 +116,21 @@ def _cmd_hecke_eigen(args) -> int:
     return 0
 
 
+# The largest p of cycle.  A vector cycle lists p - 2 weights: at p = 999983
+# it takes 0.74 s, prints 13.9 MB and peaks at 107 MB RSS.
+_CYCLE_MAX_P = 10 ** 6
+
+
 def _cmd_cycle(args) -> int:
     if args.semi_ordinary == args.non_semi_ordinary:
         raise CliError("choose exactly one of --semi-ordinary / "
                        "--non-semi-ordinary")
+    if args.p > _CYCLE_MAX_P:
+        raise CliError(f"cycle runs at p <= {_CYCLE_MAX_P}, got {args.p}")
     semi = args.semi_ordinary
     if args.vector:
+        if args.branch is not None:
+            raise CliError("--branch applies only to --scalar cycles")
         rep = cycles.predict_vector_cycle(args.p, args.k, semi)
     else:
         rep = cycles.predict_scalar_cycle(args.p, args.k, semi,

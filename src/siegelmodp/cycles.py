@@ -18,13 +18,16 @@ constraint system:
   mod p: (1,1) -> 0, (1,2) -> (p+3)/2, (2,1) -> (p-1)/2, (2,2) -> 0.
 
 The residue k0 of a starting weight k is taken in [1, p].
+
+Every function takes p by the toolkit's one rule, ``arith._check_prime`` (a
+prime 5 <= p < 3.3e24); any other p raises :class:`CycleError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import is_prime
+from .arith import _check_prime
 
 
 class CycleError(ValueError):
@@ -61,8 +64,7 @@ def _residue(k: int, p: int) -> int:
 
 
 def _check_args(p: int, k: int):
-    if p < 5 or not is_prime(p):
-        raise CycleError(f"p must be a prime >= 5, got {p}")
+    _check_prime(p, CycleError)
     if k < 2:
         raise CycleError(f"start weight must be >= 2, got {k}")
 
@@ -122,9 +124,12 @@ def _scalar_semi_branches(p: int, k: int):
 
 def predict_scalar_cycle(p: int, k: int, semi_ordinary: bool,
                          branch: int | None = None) -> CycleReport:
-    """Predicted theta cycle of a scalar form of weight k mod p."""
+    """Predicted theta cycle of a scalar form of weight k mod p; ``branch``
+    picks one of the semi-ordinary branches (default 0)."""
     _check_args(p, k)
     if not semi_ordinary:
+        if branch is not None:
+            raise CycleError("a branch applies only to semi-ordinary cycles")
         rows = _scalar_non_semi_rows(p, k)
         idx, entries = rows[0]
         return CycleReport(p=p, start_weight=k, kind="scalar", ordinary=False,
@@ -185,6 +190,7 @@ def analyze_cycle(entries, p: int, kind: str,
     sum(c) = length, sum(b)(p-1) = length * step apply to closed cycles
     only.
     """
+    _check_prime(p, CycleError)
     entries = tuple(entries)
     if not entries:
         raise CycleError("empty weight sequence")

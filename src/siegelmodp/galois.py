@@ -19,13 +19,16 @@ suggest), without silently choosing.
 
 The planner only does the proofs' arithmetic: step counts, twist exponents
 and the final weight bounds.  It never constructs an eigenform.
+
+Every function takes p by the toolkit's one rule, ``arith._check_prime`` (a
+prime 5 <= p < 3.3e24); any other p raises :class:`GaloisError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .arith import is_prime
+from .arith import _check_prime
 
 
 class GaloisError(ValueError):
@@ -59,8 +62,7 @@ class FrobPoly:
 def frob_charpoly(lam1: int, lam2: int, chi2: int, ell: int,
                   weight, p: int) -> FrobPoly:
     """The degree-4 Frobenius polynomial mod p (see module docstring)."""
-    if not is_prime(p):
-        raise GaloisError(f"p must be prime, got {p}")
+    _check_prime(p, GaloisError)
     if ell % p == 0:
         raise GaloisError("ell must be nonzero mod p")
     k1, k2 = weight
@@ -84,6 +86,7 @@ class HeckeSystem:
     data: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_prime(self.p, GaloisError)
         for ell in self.data:
             if ell % self.p == 0:
                 raise GaloisError("stored ell values must be coprime to p")
@@ -151,8 +154,7 @@ def classify_inertia(type: str, exponents: dict, p: int) -> InertiaDescriptor:
     """
     if type not in INERTIA_TYPES:
         raise GaloisError(f"unknown inertia type {type!r}")
-    if not is_prime(p):
-        raise GaloisError(f"p must be prime, got {p}")
+    _check_prime(p, GaloisError)
     cong_p = cong_p1 = None
     reason = ""
     if type == "Borel":
@@ -206,6 +208,7 @@ def classify_inertia(type: str, exponents: dict, p: int) -> InertiaDescriptor:
 
 def level4_count(p: int, bound: int | None = None) -> int:
     """Number of valid Level-4 exponents a in [0, bound] (default p^4 - 2)."""
+    _check_prime(p, GaloisError)
     if bound is None:
         bound = p ** 4 - 2
     return sum(1 for a in range(bound + 1)
@@ -247,8 +250,7 @@ def reduction_plan(weight, p: int, l1_is_one: bool = False) -> ReductionPlan:
     k1, k2 = weight
     if not (k1 >= k2 >= 1):
         raise GaloisError("weight must satisfy k1 >= k2 >= 1")
-    if p < 5 or not is_prime(p):
-        raise GaloisError(f"p must be a prime >= 5, got {p}")
+    _check_prime(p, GaloisError)
     eps = (1 - (-1) ** (k1 - k2)) // 2
     steps = (k1 - k2 - eps) // 2
     i = p ** 3 - p * p + 2 * p + (1 if l1_is_one else 0)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+from .arith import _check_prime
 from .qexp import QExpansion, QExpError, check_index
 from .rep import RepVector, Weight, rep_apply
 
@@ -327,4 +328,5 @@ def gauss_reduce(T) -> tuple:
 
 def constant_term_multiplier(ell: int, k: int, p: int) -> int:
     """Closed form 1 + (ell+1) ell^(k-2) + ell^(2k-3) mod p for scalar weight k."""
+    _check_prime(p, HeckeError)
     return (1 + (ell + 1) * pow(ell, k - 2, p) + pow(ell, 2 * k - 3, p)) % p

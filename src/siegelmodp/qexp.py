@@ -51,10 +51,7 @@ class QExpansion:
     chi2: tuple | None = None
 
     def __post_init__(self):
-        try:
-            _check_prime(self.p)
-        except ValueError as e:
-            raise QExpError(str(e)) from None
+        _check_prime(self.p, QExpError)
         if self.N < 3:
             raise QExpError("level N must be >= 3")
         from math import gcd

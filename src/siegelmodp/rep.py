@@ -83,6 +83,7 @@ def rep_apply(weight: Weight, g, v: RepVector, p: int) -> RepVector:
     The action substitutes e1 -> a*e1 + c*e2, e2 -> b*e1 + d*e2 for
     g = [[a, b], [c, d]] and multiplies by det(g)^k2.
     """
+    _check_prime(p)
     (a, b), (c, d) = g
     det = (a * d - b * c) % p
     if det == 0:
@@ -125,6 +126,7 @@ def _binomial_expand(a, c, e1, b, d, e2, p):
 
 def sym2_of_index(T, p: int) -> RepVector:
     """The V(2, 0) vector a*e1^2 + b*e1*e2 + c*e2^2 attached to T = (a, b, c)."""
+    _check_prime(p)
     a, b, c = T
     return RepVector(2, 0, (a % p, b % p, c % p))
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arith import Fp, Fp2, Series1, all_zetas, find_zeta
+from .arith import Fp, Fp2, Series1, _check_prime, all_zetas, find_zeta
 
 
 class StrataError(ValueError):
@@ -139,7 +139,6 @@ def _rref(rows, p):
     rows = [list(r) for r in rows]
     m = len(rows)
     ncols = 4
-    out = []
     col = 0
     r = 0
     while r < m and col < ncols:
@@ -156,17 +155,13 @@ def _rref(rows, p):
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         r += 1
         col += 1
-    for row in rows[:r]:
-        out.append(tuple(row))
-    return tuple(sorted(out, reverse=True))
+    return tuple(sorted((tuple(row) for row in rows[:r]), reverse=True))
 
 
 def _null_space(rows, p):
     """Basis of {x : row . x = 0 for every row}, as an RREF tuple."""
     rr = _rref(rows, p)
-    pivots = []
-    for row in rr:
-        pivots.append(next(i for i, x in enumerate(row) if x))
+    pivots = [next(i for i, x in enumerate(row) if x) for row in rr]
     free = [i for i in range(4) if i not in pivots]
     basis = []
     for fcol in free:
@@ -180,22 +175,16 @@ def _null_space(rows, p):
 
 def _mat_image(M, space, p):
     """RREF basis of M(span)."""
-    rows = []
-    for s in space:
-        img = tuple(sum(M[i][j] * s[j] for j in range(4)) % p for i in range(4))
-        rows.append(img)
-    return _rref(rows, p)
+    return _rref([tuple(sum(M[i][j] * s[j] for j in range(4)) % p
+                        for i in range(4)) for s in space], p)
 
 
 def _mat_preimage(M, space, p):
     """RREF basis of {x : M x in span}."""
     # rows a with a . s = 0 for every s in the span (dot-product duality)
     ann = _null_space(space, p)
-    rows = []
-    for a in ann:
-        rows.append(tuple(sum(a[i] * M[i][j] for i in range(4)) % p
-                          for j in range(4)))
-    return _null_space(rows, p)
+    return _null_space([tuple(sum(a[i] * M[i][j] for i in range(4)) % p
+                              for j in range(4)) for a in ann], p)
 
 
 # point models: 4x4 matrices over F_p at the distinguished point of each
@@ -219,12 +208,13 @@ def _point_model(phi):
     return V, F
 
 
-def canonical_filtration_compute(phi, p: int = 5) -> CanonicalType:
+def canonical_filtration_compute(phi, p: int) -> CanonicalType:
     """Recompute the canonical type of the stratum by stabilizing the set of
     subspaces under V-images and F-preimages on the mod-p point model.
 
     Serves as an independent oracle for the printed table data.
     """
+    _check_prime(p, StrataError)
     V, F = _point_model(phi)
     V = tuple(tuple(x % p for x in row) for row in V)
     F = tuple(tuple(x % p for x in row) for row in F)
@@ -244,7 +234,6 @@ def canonical_filtration_compute(phi, p: int = 5) -> CanonicalType:
     chain = sorted(spaces, key=len)
     # the collection must be totally ordered by inclusion
     for small, big in zip(chain, chain[1:]):
-        big_rows = set(big)
         span = _rref(list(small) + list(big), p)
         if span != big:
             raise StrataError("computed subspaces do not form a chain")
@@ -634,8 +623,9 @@ def zeta_independent(p: int, K: int | None = None) -> bool:
     return len(orders) == 1
 
 
-def point_model_products_vanish(p: int = 5) -> bool:
+def point_model_products_vanish(p: int) -> bool:
     """F.V = V.F = 0 on every mod-p point model (t = 0 specialization)."""
+    _check_prime(p, StrataError)
     for phi in ((0, 0), (0, 1), (1, 2)):
         V, F = _point_model(phi)
         for A, Bm in ((F, V), (V, F)):

@@ -56,11 +56,16 @@ def test_fp_field_axioms(p):
         F.inv(0)
 
 
+def elements(K):
+    """Every element of F_{p^2}, in lexicographic order."""
+    return ((a, b) for a in range(K.p) for b in range(K.p))
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_fp2_field(p):
     K = Fp2(p)
     # every nonzero element is invertible and frob is the p-power map
-    for x in K.elements():
+    for x in elements(K):
         if K.is_zero(x):
             continue
         assert K.eq(K.mul(x, K.inv(x)), K.one)
@@ -95,9 +100,25 @@ def test_all_zetas_matches_scan():
         if is_prime(p):
             K = Fp2(p)
             minus_one = K.neg(K.one)
-            scan = [x for x in K.elements()
+            scan = [x for x in elements(K)
                     if K.eq(K.pow(x, p + 1), minus_one)]
             assert all_zetas(p) == scan, p
+
+
+def test_generator_and_nonresidue_match_full_walks():
+    """Fp2 skips the elements that cannot generate and finds r by Euler's
+    criterion; a walk over every element and the set of all squares give
+    the same generator, r and zeta."""
+    for p in range(5, 200):
+        if not is_prime(p):
+            continue
+        K = Fp2(p)
+        squares = {x * x % p for x in range(p)}
+        assert K.r == min(r for r in range(2, p) if r not in squares), p
+        g = next(x for x in elements(K) if not K.is_zero(x)
+                 and multiplicative_order(K, x) == p * p - 1)
+        assert K.generator() == g, p
+        assert find_zeta(p) == K.pow(g, (p - 1) // 2), p
 
 
 # ---------------------------------------------------------------------------

@@ -224,3 +224,37 @@ def test_deterministic_output(capsys):
     first = capsys.readouterr().out
     assert run(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scalar", "--non-semi-ordinary", "--branch", "99"],
+     "a branch applies only to semi-ordinary cycles"),
+    (["--scalar", "--non-semi-ordinary", "--branch", "0"],
+     "a branch applies only to semi-ordinary cycles"),
+    (["--vector", "--semi-ordinary", "--branch", "99"],
+     "--branch applies only to --scalar cycles"),
+    (["--vector", "--non-semi-ordinary", "--branch", "0"],
+     "--branch applies only to --scalar cycles"),
+])
+def test_cycle_refuses_a_branch_it_would_ignore(capsys, argv, message):
+    assert run(["cycle", "--p", "5", "--k", "5"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("p", ["1000003", "1000000007"])
+def test_cycle_refuses_p_above_its_bound(capsys, p):
+    t0 = time.monotonic()
+    assert run(["cycle", "--vector", "--p", p, "--k", "5",
+                "--non-semi-ordinary"]) == 1
+    assert time.monotonic() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and f"cycle runs at p <= 1000000, got {p}" in err
+
+
+@pytest.mark.parametrize("p", ["1000003", "999984683", "1000000007"])
+def test_strata_order_at_a_large_prime(capsys, p):
+    t0 = time.monotonic()
+    assert run(["strata", "order", "--phi", "0,1", "--p", p]) == 0
+    assert time.monotonic() - t0 < 1.0
+    assert json.loads(capsys.readouterr().out)["match"] is True

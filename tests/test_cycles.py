@@ -33,6 +33,10 @@ def test_scalar_semi_branches():
     assert len(rep.alternatives) == 2
     with pytest.raises(CycleError, match="branch index"):
         predict_scalar_cycle(p, p, True, branch=5)
+    # a non-semi-ordinary cycle has no branches to choose from
+    for b in (0, 1, 99):
+        with pytest.raises(CycleError, match="only to semi-ordinary"):
+            predict_scalar_cycle(p, p, False, branch=b)
     # the uncovered residue class
     with pytest.raises(CycleError, match="not covered"):
         predict_scalar_cycle(7, 14, True)
