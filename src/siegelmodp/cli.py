@@ -2,12 +2,13 @@
 
 Subcommands::
 
-    theta --op scalar|big|t1|t2|t3 [--iterations M] IN -o OUT
+    theta --op scalar|big|t1|t2|t3 [--iterations M] IN -o OUT   (M <= 1000)
     hecke --ell L --power I --targets FILE [--assume-complete] IN -o OUT
     hecke eigen --ell L --power I IN
     cycle --scalar|--vector --p P --k K     (p <= 10^6)
           [--semi-ordinary|--non-semi-ordinary] [--branch B]
     strata order --phi A,B [--variant 1|2] --p P [--cutoff K]
+                 (--variant only with --phi 1,1)
     strata tables
     charpoly --ell L --lam1 X --lam2 Y --chi2 Z --k1 A --k2 B --p P
     plan --k1 A --k2 B --p P
@@ -55,10 +56,19 @@ def _emit(obj) -> None:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+# The largest --iterations of theta.  theta_2 keeps k1 - k2, so nothing
+# else ends its loop: 1000 iterations of t2 on a 100-index form at p = 5
+# take 1.1 s.
+_THETA_MAX_ITERATIONS = 1000
+
+
 def _cmd_theta(args) -> int:
     m = args.iterations
     if m < 1:
         raise CliError("iterate count must be >= 1")
+    if m > _THETA_MAX_ITERATIONS:
+        raise CliError(f"theta runs at --iterations <= "
+                       f"{_THETA_MAX_ITERATIONS}, got {m}")
     F = _read_form(args.input)
     if args.op == "scalar":
         G = F
@@ -147,13 +157,17 @@ def _cmd_strata_order(args) -> int:
     if len(phi) != 2:
         raise CliError(f"--phi expects two comma-separated integers, "
                        f"got {args.phi!r}")
-    variant = args.variant if phi == (1, 1) else None
-    order = strata.partial_hasse_order(phi, args.p, variant=variant,
-                                       K=args.cutoff)
-    formula, fn = strata.ORDER_FORMULA[(phi, variant)]
-    _emit({"phi": list(phi), "variant": variant, "p": args.p,
-           "order": order, "expected": formula,
-           "match": order == fn(args.p)})
+    variant = args.variant
+    if phi != (1, 1) and variant is not None:
+        raise CliError("--variant applies only to --phi 1,1")
+    if phi == (1, 1) and variant is None:
+        variant = 1
+    rep = strata.partial_hasse_report(phi, args.p, variant=variant,
+                                      K=args.cutoff)
+    check = rep["formula_check"]
+    _emit({"phi": rep["phi"], "variant": rep["variant"], "p": rep["p"],
+           "order": rep["order"], "expected": check["formula"],
+           "match": check["match"]})
     return 0
 
 
@@ -210,6 +224,7 @@ def _suite_pieri(p: int) -> dict:
 
 def _suite_theta(p: int) -> dict:
     import random
+    from math import isqrt
     from .qexp import QExpansion
     from .rep import Weight
     rng = random.Random(p)
@@ -218,7 +233,7 @@ def _suite_theta(p: int) -> dict:
         support = {}
         for _ in range(4):
             a, c = rng.randrange(4), rng.randrange(4)
-            bmax = int((4 * a * c) ** 0.5)
+            bmax = isqrt(4 * a * c)
             b = rng.randrange(-bmax, bmax + 1) if bmax else 0
             support[(a, b, c)] = (rng.randrange(p),)
         k = rng.randrange(2, 9)
@@ -376,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_so = sub.add_parser("strata-order",
                           help="vanishing order of a partial Hasse invariant")
     p_so.add_argument("--phi", required=True)
-    p_so.add_argument("--variant", type=int, choices=[1, 2], default=1)
+    p_so.add_argument("--variant", type=int, choices=[1, 2], default=None,
+                      help="1 or 2, for --phi 1,1 only (default 1)")
     p_so.add_argument("--p", type=int, required=True)
     p_so.add_argument("--cutoff", type=int, default=None)
     p_so.set_defaults(fn=_cmd_strata_order)

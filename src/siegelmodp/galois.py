@@ -27,6 +27,7 @@ prime 5 <= p < 3.3e24); any other p raises :class:`GaloisError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import lcm
 
 from .arith import _check_prime
 
@@ -207,12 +208,17 @@ def classify_inertia(type: str, exponents: dict, p: int) -> InertiaDescriptor:
 
 
 def level4_count(p: int, bound: int | None = None) -> int:
-    """Number of valid Level-4 exponents a in [0, bound] (default p^4 - 2)."""
+    """Number of valid Level-4 exponents a in [0, bound] (default p^4 - 2).
+
+    The valid a are the multiples of p+1 that are not multiples of p^2+1,
+    so of lcm(p+1, p^2+1); a = 0 is a multiple of both.
+    """
     _check_prime(p, GaloisError)
     if bound is None:
         bound = p ** 4 - 2
-    return sum(1 for a in range(bound + 1)
-               if a % (p + 1) == 0 and a % (p * p + 1) != 0)
+    if bound < 0:
+        return 0
+    return bound // (p + 1) - bound // lcm(p + 1, p * p + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,21 @@ def check_index(T) -> tuple:
     return (int(a), int(b), int(c))
 
 
+def _check_entry(T, vec, n: int) -> tuple:
+    """The checked index of one support entry whose vector must have n + 1
+    coordinates; the constructor and ``parse`` both run it."""
+    T = check_index(T)
+    if len(vec) != n + 1:
+        raise QExpError(
+            f"coefficient at {T} has length {len(vec)}, expected {n + 1}")
+    return T
+
+
+def _check_table(name: str, tab, N: int) -> None:
+    if len(tab) != N:
+        raise QExpError(f"{name} table must have N={N} entries")
+
+
 @dataclass(frozen=True)
 class QExpansion:
     p: int
@@ -60,19 +75,15 @@ class QExpansion:
         n = self.weight.n
         clean = {}
         for T, vec in self.support.items():
-            T = check_index(T)
             vec = tuple(v % self.p for v in vec)
-            if len(vec) != n + 1:
-                raise QExpError(
-                    f"coefficient at {T} has length {len(vec)}, expected {n + 1}")
+            T = _check_entry(T, vec, n)
             if any(vec):
                 clean[T] = vec
         object.__setattr__(self, "support", clean)
         for name in ("chi1", "chi2"):
             tab = getattr(self, name)
             if tab is not None:
-                if len(tab) != self.N:
-                    raise QExpError(f"{name} table must have N={self.N} entries")
+                _check_table(name, tab, self.N)
                 object.__setattr__(self, name, tuple(v % self.p for v in tab))
         self._check_parity()
 
@@ -127,6 +138,7 @@ def parse(text: str) -> QExpansion:
         raise QExpError("line 1: missing %SMF v1 magic")
     headers = {}
     support = {}
+    line_of = {}  # header key or coefficient index -> its line number
     for ln, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -142,12 +154,14 @@ def parse(text: str) -> QExpansion:
                 if T in support:
                     raise QExpError(f"duplicate index {T}")
                 support[T] = vec
+                line_of[T] = ln
                 continue
             key, _, rest = line.partition(" ")
             if key not in ("p", "N", "weight", "chi1", "chi2"):
                 raise QExpError(f"unknown header {key!r}")
             if key in headers:
                 raise QExpError(f"duplicate header {key!r}")
+            line_of[key] = ln
             if key in ("p", "N"):
                 headers[key] = int(rest)
             elif key == "weight":
@@ -165,9 +179,27 @@ def parse(text: str) -> QExpansion:
             raise QExpError(f"line {ln}: {e}") from None
     if not {"p", "N", "weight"} <= headers.keys():
         raise QExpError("missing required header (p, N or weight)")
-    return QExpansion(p=headers["p"], N=headers["N"], weight=headers["weight"],
-                      support=support,
-                      chi1=headers.get("chi1"), chi2=headers.get("chi2"))
+    try:
+        return QExpansion(p=headers["p"], N=headers["N"],
+                          weight=headers["weight"], support=support,
+                          chi1=headers.get("chi1"), chi2=headers.get("chi2"))
+    except QExpError as err:
+        # When the constructor refused an entry or a table, name its line.
+        # The weight and N may follow the lines that need them, so these
+        # checks wait for the whole file; they run in the constructor's
+        # order, and the first that fails is the one it refused.
+        checks = [(T, _check_entry, (T, vec, headers["weight"].n))
+                  for T, vec in support.items()]
+        checks += [(key, _check_table, (key, headers[key], headers["N"]))
+                   for key in ("chi1", "chi2") if headers.get(key) is not None]
+        for key, check, args in checks:
+            try:
+                check(*args)
+            except QExpError as e:
+                if str(e) == str(err):
+                    raise QExpError(f"line {line_of[key]}: {e}") from None
+                break
+        raise
 
 
 # ---------------------------------------------------------------------------

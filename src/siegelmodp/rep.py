@@ -13,13 +13,13 @@ The Pieri split decomposes V(n, m) tensor V(2, 0) into (up to) three
 components V(n+2, m), V(n, m+1), V(n-2, m+2).  They are the transvectants
 of the Omega-process (Olver, *Classical Invariant Theory*, ch. 5): the
 product, the first transvectant over n+2 and the second over 2n(n+1).
-Reassembly is the dual map: polarization of the first component, and
-multiplication of the other two by omega = e1 (x) e2 - e2 (x) e1 and its
-square.
-
-For n in {p-2, p-1} only the V(n-2, m+2) component is defined.  At n = p-1
-its denominator 2n(n+1) carries one factor p, which is dropped: the result
-is the characteristic-0 projection times p, reduced mod p.
+One projector, :func:`pieri_component`, computes each of them, and
+:func:`pieri_split` is three calls to it.  For n in {p-2, p-1} only the
+V(n-2, m+2) component is defined.  At n = p-1 its denominator 2n(n+1)
+carries one factor p, which is dropped: the result is the
+characteristic-0 projection times p, reduced mod p.  Reassembly is the
+dual map: polarization of the first component, and multiplication of the
+other two by omega = e1 (x) e2 - e2 (x) e1 and its square.
 """
 
 from __future__ import annotations
@@ -146,23 +146,24 @@ def sym2_of_index(T, p: int) -> RepVector:
 #   (h_XX (x) X^2 + 2 h_XY (x) XY + h_YY (x) Y^2) / ((n+2)(n+1))
 #   + (g_X (x) X + g_Y (x) Y) omega / n  +  q omega^2.
 
-def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
-    """Split x in V(n, m) tensor V(2, 0) into its (up to three) components.
+def pieri_component(n: int, p: int, x: dict, r: int,
+                    m: int = 0) -> RepVector | None:
+    """Component ``x<r>`` (r = 0, 1 or 2) of x in V(n, m) tensor V(2, 0).
 
-    ``x`` maps external tensor-basis pairs ``(i, j)`` (for u_i tensor v_j,
-    v_j = e1^(2-j) e2^j) to integers.  For n in {p-2, p-1} only the
-    V(n-2, m+2) component exists; at n = p-1 it is the characteristic-0
-    projection times p, reduced mod p.
+    ``x`` maps pairs ``(i, j)``, for u_i tensor e1^(2-j) e2^j, to integers.
+    The result lies in V(n+2-2r, m+r).  It is None where the component does
+    not exist: x0 needs n <= p-3, x1 needs 1 <= n <= p-3, x2 needs n >= 2.
     """
     _check_prime(p)
     if n < 0:
         raise ValueError("negative symmetric degree")
     if n > p - 1:
         raise ValueError("split undefined at this degree")
-    degenerate = n >= p - 2
-    x0 = [0] * (n + 3)
-    x1 = [0] * (n + 1)
-    x2 = [0] * (n - 1)
+    if r not in (0, 1, 2):
+        raise ValueError(f"no Pieri component {r}; choose 0, 1 or 2")
+    if r > n or (r < 2 and n >= p - 2):
+        return None
+    out = [0] * (n + 3 - 2 * r)
     for (i, j), c in x.items():
         if not (0 <= i <= n and 0 <= j <= 2):
             raise ValueError(f"tensor index {(i, j)} out of range for n={n}")
@@ -170,23 +171,29 @@ def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
         if not c:
             continue
         a, b, s, t = n - i, i, 2 - j, j
-        if not degenerate:
-            x0[i + j] += c
-            w1 = a * t - b * s
-            if w1:
-                x1[i + j - 1] += c * w1
-        w2 = a * (a - 1) * t * (t - 1) - 2 * a * b * s * t + b * (b - 1) * s * (s - 1)
-        if w2:
-            x2[i + j - 2] += c * w2
+        if r == 0:
+            w = 1
+        elif r == 1:
+            w = a * t - b * s
+        else:
+            w = a * (a - 1) * t * (t - 1) - 2 * a * b * s * t + b * (b - 1) * s * (s - 1)
+        if w:
+            out[i + j - r] += c * w
     # at n = p-1 the factor n+1 = p of 2n(n+1) is dropped
-    r2 = pow(2 * n * (n + 1 if n < p - 1 else 1), p - 2, p)
-    x2v = RepVector(n - 2, m + 2, tuple(v * r2 % p for v in x2)) if n >= 2 else None
-    if degenerate:
-        return PieriSplit(None, None, x2v, (False, False, True))
-    r1 = pow(n + 2, p - 2, p)
-    x0v = RepVector(n + 2, m, tuple(v % p for v in x0))
-    x1v = RepVector(n, m + 1, tuple(v * r1 % p for v in x1)) if n >= 1 else None
-    return PieriSplit(x0v, x1v, x2v, (True, n >= 1, n >= 2))
+    denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
+    inverse = pow(denominator, p - 2, p)
+    return RepVector(n + 2 - 2 * r, m + r, tuple(v * inverse % p for v in out))
+
+
+def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
+    """Split x in V(n, m) tensor V(2, 0) into its (up to three) components.
+
+    Each component is :func:`pieri_component`; ``present`` records which
+    of them exist at (n, p).
+    """
+    x0, x1, x2 = (pieri_component(n, p, x, r, m) for r in range(3))
+    return PieriSplit(x0, x1, x2, (x0 is not None, x1 is not None,
+                                   x2 is not None))
 
 
 def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:

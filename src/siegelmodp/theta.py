@@ -14,6 +14,9 @@ theta_2        (k1, k2)    -> (k1 + p, k2 + p)
 theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 =============  =====================================
 
+theta_j keeps Pieri component x(3-j) of Sym^n tensor Sym^2, n = k1 - k2,
+and exists exactly where that component does (rep.pieri_component).
+
 Characters are unchanged.  Constant prefactors (2/3 for the big operator,
 1/18 in the four-fold closed form) are used exactly as given.  The tests
 measure the constant between the literal four-fold theta_2 iterate and its
@@ -25,7 +28,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .qexp import QExpansion
-from .rep import RepVector, Weight, pieri_split, sym2_of_index
+from .rep import (RepVector, Weight, pieri_component, pieri_split,
+                  sym2_of_index)
 
 
 class ThetaError(ValueError):
@@ -87,28 +91,15 @@ def big_theta(F: QExpansion, m: int = 1) -> QExpansion:
 
 
 _WEIGHT_SHIFT = {1: (-1, +1), 2: (0, 0), 3: (+1, -1)}
-# theta_j selects the Pieri component with symmetric degree n - 2(3 - j) + ...
-# concretely: j=1 -> lowest (n-2), j=2 -> middle (n), j=3 -> highest (n+2)
-_COMPONENT = {1: "x2", 2: "x1", 3: "x0"}
 
 
 def _check_domain(n: int, p: int, j: int):
-    if j == 1:
-        if n < 2:
-            raise ThetaError("theta_1 requires weight difference k1-k2 >= 2")
-        if not (p > n + 2 or n in (p - 2, p - 1)):
-            raise ThetaError("theta_1 requires p > k1-k2+2 or "
-                             "k1-k2 in {p-2, p-1}")
-    elif j == 2:
-        if n < 1:
-            raise ThetaError("theta_2 requires weight difference k1-k2 >= 1")
-        if not p > n + 2:
-            raise ThetaError("theta_2 requires p > k1-k2+2")
-    elif j == 3:
-        if not p > n + 2:
-            raise ThetaError("theta_3 requires p > k1-k2+2")
-    else:
+    if j not in (1, 2, 3):
         raise ThetaError("j must be 1, 2 or 3")
+    if n > p - 1 or not pieri_split(n, p, {}).present[3 - j]:
+        raise ThetaError(f"theta_{j} is undefined at k1-k2={n}, p={p}: "
+                         f"Sym^{n} (x) Sym^2 has no Pieri component "
+                         f"x{3 - j} there")
 
 
 def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
@@ -122,8 +113,7 @@ def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
             v = Ai * st * ninv % p
             if v:
                 x[(i, t)] = v
-    split = pieri_split(n, p, x)
-    comp = getattr(split, _COMPONENT[j])
+    comp = pieri_component(n, p, x, 3 - j)
     if comp is None:
         raise ThetaError(f"component {j} absent at this weight")
     return comp

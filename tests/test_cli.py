@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from siegelmodp import qexp
+from siegelmodp import hecke, qexp, theta
 from siegelmodp.cli import run
 from siegelmodp.qexp import QExpansion
 from siegelmodp.rep import Weight
@@ -258,3 +258,63 @@ def test_strata_order_at_a_large_prime(capsys, p):
     assert run(["strata", "order", "--phi", "0,1", "--p", p]) == 0
     assert time.monotonic() - t0 < 1.0
     assert json.loads(capsys.readouterr().out)["match"] is True
+
+
+def test_theta_scalar(tmp_path):
+    src, F = write_form(tmp_path)
+    out = tmp_path / "out.smf"
+    assert run(["theta", "--op", "scalar", str(src), "-o", str(out)]) == 0
+    G = qexp.parse(out.read_text(encoding="utf-8"))
+    assert G == theta.theta_scalar(F)
+    assert G.weight == Weight(4 + 6, 4 + 4)
+
+
+@pytest.mark.parametrize("op", ["scalar", "big", "t2"])
+def test_theta_refuses_iterations_above_its_bound(tmp_path, capsys, op):
+    # t2 on weight (5, 4) keeps k1 - k2, so only the bound ends its loop
+    src, _ = write_form(tmp_path, weight=(5, 4),
+                        support={(1, 0, 1): (2, 1), (1, 1, 1): (1, 3)})
+    out = tmp_path / "out.smf"
+    assert run(["theta", "--op", op, "--iterations", "1001",
+                str(src), "-o", str(out)]) == 1
+    assert ("theta runs at --iterations <= 1000, got 1001"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    if op == "t2":
+        assert run(["theta", "--op", op, "--iterations", "1000",
+                    str(src), "-o", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["hecke", "hecke-eigen"])
+def test_hecke_refuses_a_weight_difference_above_its_bound(tmp_path, capsys,
+                                                          command):
+    src, _ = write_form(tmp_path, weight=(105, 4),
+                        support={(1, 0, 1): (1,) * 102})
+    argv = [command, "--ell", "2", "--assume-complete", str(src)]
+    if command == "hecke":
+        targets = tmp_path / "targets.txt"
+        targets.write_text("1 0 1\n", encoding="utf-8")
+        argv += ["--targets", str(targets), "-o", str(tmp_path / "out.smf")]
+    misses = hecke._plan.cache_info().misses
+    assert run(argv) == 1
+    assert hecke._plan.cache_info().misses == misses
+    out, err = capsys.readouterr()
+    assert out == "" and "Hecke operators run at k1-k2 <= 100, got 101" in err
+
+
+@pytest.mark.parametrize("phi", ["0,1", "1,2"])
+@pytest.mark.parametrize("variant", ["1", "2"])
+def test_strata_order_refuses_a_variant_it_would_ignore(capsys, phi, variant):
+    assert run(["strata", "order", "--phi", phi, "--variant", variant,
+                "--p", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--variant applies only to --phi 1,1" in err
+
+
+def test_strata_order_variant_defaults_to_1_at_phi_1_1(capsys):
+    assert run(["strata", "order", "--phi", "1,1", "--p", "5"]) == 0
+    default = capsys.readouterr().out
+    assert run(["strata", "order", "--phi", "1,1", "--variant", "1",
+                "--p", "5"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["variant"] == 1

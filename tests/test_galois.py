@@ -98,12 +98,28 @@ def test_inertia_other_types():
     assert kling.range_ok and kling.congruence_mod_p_minus_1
 
 
+def level4_count_loop(p, bound):
+    """The direct recount: every a in [0, bound], one at a time."""
+    return sum(1 for a in range(bound + 1)
+               if a % (p + 1) == 0 and a % (p * p + 1) != 0)
+
+
 def test_level4_count():
     assert level4_count(5, 624) == 96
     assert level4_count(5) == 96
-    # direct recount oracle
-    assert level4_count(7) == sum(
-        1 for a in range(7 ** 4 - 1) if a % 8 == 0 and a % 50 != 0)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_level4_count_matches_the_loop(p):
+    q = p ** 4
+    for bound in list(range(-20, 400)) + [q - 2, q + 50, 3 * q]:
+        assert level4_count(p, bound) == level4_count_loop(p, bound), bound
+    assert level4_count(p) == level4_count_loop(p, q - 2)
+
+
+@pytest.mark.parametrize("p", [17, 19, 23])
+def test_level4_count_default_bound_matches_the_loop(p):
+    assert level4_count(p) == level4_count_loop(p, p ** 4 - 2)
 
 
 def test_reduction_plan():

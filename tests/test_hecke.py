@@ -180,6 +180,18 @@ def test_ell_coprimality_errors():
         eigenvalue(F, 2, -1)
 
 
+def test_weight_difference_bound_is_checked_before_any_plan():
+    from siegelmodp import hecke
+    F = mk(5, 7, (105, 4), {(1, 0, 1): (1,) * 102})
+    misses = hecke._plan.cache_info().misses
+    for call in (lambda: hecke_coefficient(F, 2, 1, (1, 0, 1)),
+                 lambda: eigenvalue(F, 3, 2)):
+        with pytest.raises(HeckeError, match=r"^Hecke operators run at "
+                                             r"k1-k2 <= 100, got 101$"):
+            call()
+    assert hecke._plan.cache_info().misses == misses
+
+
 def test_tensor_normalization_matches_plain():
     """A tensor normalization (ell-exponents from the pre-image weight of a
     theta operator, times ell^(-j beta) for Pieri component j, 0 the largest)

@@ -3,8 +3,9 @@ import random
 import pytest
 
 import pieri_oracle
-from siegelmodp.rep import (PieriSplit, RepVector, Weight, pieri_reassemble,
-                            pieri_split, rep_apply, sym2_of_index)
+from siegelmodp.rep import (PieriSplit, RepVector, Weight, pieri_component,
+                            pieri_reassemble, pieri_split, rep_apply,
+                            sym2_of_index)
 
 
 def rand_gl2(rng, p):
@@ -120,6 +121,9 @@ def test_pieri_errors():
         pieri_split(2, 5, {(3, 0): 1})
     with pytest.raises(ValueError, match="out of range"):
         pieri_split(4, 5, {(0, -1): 1})
+    for r in (-1, 3):
+        with pytest.raises(ValueError, match="no Pieri component"):
+            pieri_component(2, 5, {}, r)
     # the split needs a prime p >= 5
     for p in (2, 3):
         for n in range(-1, p + 1):
@@ -147,10 +151,15 @@ def test_pieri_matches_linear_algebra_oracle(p):
                      for j in range(3)} for _ in range(4)]
         for x in tensors:
             split = _outcome(pieri_split, n, p, x, 1)
-            assert split == _outcome(pieri_oracle.pieri_split, n, p, x, 1), \
-                (p, n, x)
+            want = _outcome(pieri_oracle.pieri_split, n, p, x, 1)
+            assert split == want, (p, n, x)
+            for r in range(3):
+                assert (_outcome(pieri_component, n, p, x, r, 1)
+                        == (want if want is ValueError
+                            else getattr(want, f"x{r}"))), (p, n, r, x)
             if split is ValueError:
                 continue
             assert (_outcome(pieri_reassemble, split, n, p)
                     == _outcome(pieri_oracle.pieri_reassemble, split, n, p)), \
                 (p, n, x)
+

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from siegelmodp.qexp import QExpansion, serialize
-from siegelmodp.rep import Weight, sym2_of_index
+from siegelmodp.rep import Weight, pieri_split, sym2_of_index
 from siegelmodp.theta import (ThetaError, big_theta, big_theta_composite,
                               theta2_iterate_closed, theta_j,
                               theta_j_coefficient, theta_scalar)
@@ -69,6 +69,22 @@ def test_theta_j_domains():
         theta_j(F3, 3)
     with pytest.raises(ThetaError, match="j must be"):
         theta_j(F1, 4)
+    # theta_j exists exactly where its Pieri component does
+    for p in (5, 7, 11):
+        lowest = {1: 2, 2: 1, 3: 0}
+        highest = {1: p - 1, 2: p - 3, 3: p - 3}
+        for n in range(p + 2):
+            F = mk(p, N, (4 + n, 4), rand_support(random.Random(n), p, n))
+            for j in (1, 2, 3):
+                defined = lowest[j] <= n <= highest[j]
+                assert defined == (n <= p - 1
+                                   and pieri_split(n, p, {}).present[3 - j])
+                if defined:
+                    assert theta_j(F, j).weight.n == n + 2 * j - 4
+                    continue
+                message = f"^theta_{j} is undefined at k1-k2={n}, p={p}: "
+                with pytest.raises(ThetaError, match=message):
+                    theta_j(F, j)
 
 
 def test_theta_j_weights():
