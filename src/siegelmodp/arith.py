@@ -18,6 +18,7 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +75,58 @@ def _check_prime(p: int, error=ValueError) -> None:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """Distinct prime factors of 1 <= n < 3.3e24, in increasing order.
+
+    Factors up to 41 are divided out; the cofactors are split by Pollard's
+    rho until :func:`is_prime` accepts each part, so p - 1 = 2q with q a
+    large prime takes one primality test, not sqrt(q) divisions.
+    """
+    out = set()
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            out.add(q)
+            while n % q == 0:
+                n //= q
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_divisor(m)
+            parts += [d, m // d]
+    return sorted(out)
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor 1 < d < n of a composite n with no prime factor <= 41:
+    Pollard's rho in Brent's variant (BIT 20 (1980)), with x -> x^2 + c for
+    c = 1, 2, ... until one cycle yields a proper divisor."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: step through it one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +264,7 @@ class Fp2:
     def generator(self):
         """The lexicographically smallest generator of the multiplicative group."""
         n = self.p * self.p - 1
-        # factor p - 1 and p + 1 apart, each in about sqrt(p) trial divisions
+        # factor p - 1 and p + 1 apart, not their product p^2 - 1
         qs = set(prime_factors(self.p - 1) + prime_factors(self.p + 1))
         # (a, 0) and (0, b) square into F_p, so neither can generate
         for a in range(1, self.p):

@@ -22,7 +22,6 @@ files use the SMF1 text format.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -97,7 +96,10 @@ def _read_targets(path: str):
             except ValueError:
                 raise CliError(f"{path}:{lineno}: expected three integers "
                                f"'a b c', got {line!r}") from None
-            out.append((a, b, c))
+            try:
+                out.append(qexp.check_index((a, b, c)))
+            except qexp.QExpError as e:
+                raise CliError(f"{path}:{lineno}: {e}") from None
     return out
 
 
@@ -111,7 +113,7 @@ def _cmd_hecke(args) -> int:
                                       assume_complete=args.assume_complete)
         if any(vec.coords):
             support[T] = vec.coords
-    G = dataclasses.replace(F, support=support)
+    G = qexp._derive(F, F.weight, support)
     _write_form(G, args.output)
     return 0
 

@@ -185,10 +185,16 @@ def required_indices(ell: int, i: int, T, N: int) -> set:
 # n = 300; T(3^2) takes 0.31 s at n = 100.
 _MAX_N = 100
 
+# The largest number of lifts in a plan, 1 + sum over 1 <= beta <= i of
+# ell^beta + ell^(beta-1).  A lift costs 15-35 ms at n = 100: the plan of
+# T(2^5) (94 lifts) takes 2.4 s there, that of T(13^2) (197 lifts) 3.3 s
+# and that of T(2^7) (382 lifts) 10.8 s.
+_MAX_LIFTS = 100
+
 
 def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     """Reject T(ell^i) unless i >= 0, ell is coprime to p and the level,
-    and k1 - k2 <= _MAX_N."""
+    k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts."""
     if i < 0:
         raise HeckeError(f"power i must be >= 0, got {i}")
     if ell % F.p == 0 or gcd(ell, F.N) != 1:
@@ -196,6 +202,13 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     if F.weight.n > _MAX_N:
         raise HeckeError(f"Hecke operators run at k1-k2 <= {_MAX_N}, "
                          f"got {F.weight.n}")
+    lifts, power = 1, 1
+    for _ in range(i):  # stops as soon as the count passes the bound
+        lifts += abs(ell) * power + power
+        power *= abs(ell)
+        if lifts > _MAX_LIFTS:
+            raise HeckeError(f"Hecke operators run with at most "
+                             f"{_MAX_LIFTS} lifts, T({ell}^{i}) needs more")
 
 
 # Plans of the operators in use.  One takes about 2 kB for a scalar T(2),

@@ -20,18 +20,26 @@ Text format SMF1 (UTF-8, line oriented)::
     coeff 1 1 1 : 3 2 5
 
 Canonical serialization sorts indices by (a, c, b); b may be negative.
+
+The ``QExpansion`` constructor and :func:`parse` check each form that enters
+the program.  Operators derive results from valid forms through _derive,
+unchecked, and keep the constructor's invariant: semi-positive int indices,
+nonzero vectors of k1 - k2 + 1 residues in [0, p), the parity of k1 + k2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from math import gcd
 
 from .arith import _check_prime
 from .rep import Weight
 
 
 class QExpError(ValueError):
-    """Raised for malformed expansions or format violations."""
+    """Raised for malformed expansions or format violations.  ``key`` is the
+    index, or "chi1" or "chi2", whose check the constructor refused."""
+    key = None
 
 
 def check_index(T) -> tuple:
@@ -39,21 +47,6 @@ def check_index(T) -> tuple:
     if a < 0 or c < 0 or 4 * a * c - b * b < 0:
         raise QExpError(f"index {T} violates semi-positivity")
     return (int(a), int(b), int(c))
-
-
-def _check_entry(T, vec, n: int) -> tuple:
-    """The checked index of one support entry whose vector must have n + 1
-    coordinates; the constructor and ``parse`` both run it."""
-    T = check_index(T)
-    if len(vec) != n + 1:
-        raise QExpError(
-            f"coefficient at {T} has length {len(vec)}, expected {n + 1}")
-    return T
-
-
-def _check_table(name: str, tab, N: int) -> None:
-    if len(tab) != N:
-        raise QExpError(f"{name} table must have N={N} entries")
 
 
 @dataclass(frozen=True)
@@ -69,33 +62,37 @@ class QExpansion:
         _check_prime(self.p, QExpError)
         if self.N < 3:
             raise QExpError("level N must be >= 3")
-        from math import gcd
         if gcd(self.N, self.p) != 1:
             raise QExpError("level must be coprime to p")
         n = self.weight.n
         clean = {}
-        for T, vec in self.support.items():
-            vec = tuple(v % self.p for v in vec)
-            T = _check_entry(T, vec, n)
-            if any(vec):
-                clean[T] = vec
-        object.__setattr__(self, "support", clean)
-        for name in ("chi1", "chi2"):
-            tab = getattr(self, name)
-            if tab is not None:
-                _check_table(name, tab, self.N)
-                object.__setattr__(self, name, tuple(v % self.p for v in tab))
-        self._check_parity()
-
-    def _check_parity(self):
-        """chi2(-1) must equal (-1)^(k1+k2); only checkable for explicit tables."""
-        if self.chi2 is None:
-            return
-        val = self.chi2[(-1) % self.N]
-        want = pow(-1, self.weight.k1 + self.weight.k2, self.p)
-        if val != want:
-            raise QExpError(
-                f"parity violation: chi2(-1)={val}, expected {want}")
+        try:  # a refused entry or table is the error's key
+            for key, vec in self.support.items():
+                vec = tuple(v % self.p for v in vec)
+                T = check_index(key)
+                if len(vec) != n + 1:
+                    raise QExpError(f"coefficient at {T} has length "
+                                    f"{len(vec)}, expected {n + 1}")
+                if any(vec):
+                    clean[T] = vec
+            object.__setattr__(self, "support", clean)
+            for key in ("chi1", "chi2"):
+                tab = getattr(self, key)
+                if tab is not None:
+                    if len(tab) != self.N:
+                        raise QExpError(f"{key} table must have N={self.N} "
+                                        f"entries")
+                    object.__setattr__(self, key,
+                                       tuple(v % self.p for v in tab))
+        except QExpError as err:
+            err.key = key
+            raise
+        if self.chi2 is not None:  # chi2(-1) must be (-1)^(k1+k2)
+            val = self.chi2[(-1) % self.N]
+            want = pow(-1, self.weight.k1 + self.weight.k2, self.p)
+            if val != want:
+                raise QExpError(
+                    f"parity violation: chi2(-1)={val}, expected {want}")
 
     # -- character evaluation ----------------------------------------------
     def chi1_at(self, n: int) -> int:
@@ -184,27 +181,28 @@ def parse(text: str) -> QExpansion:
                           weight=headers["weight"], support=support,
                           chi1=headers.get("chi1"), chi2=headers.get("chi2"))
     except QExpError as err:
-        # When the constructor refused an entry or a table, name its line.
-        # The weight and N may follow the lines that need them, so these
-        # checks wait for the whole file; they run in the constructor's
-        # order, and the first that fails is the one it refused.
-        checks = [(T, _check_entry, (T, vec, headers["weight"].n))
-                  for T, vec in support.items()]
-        checks += [(key, _check_table, (key, headers[key], headers["N"]))
-                   for key in ("chi1", "chi2") if headers.get(key) is not None]
-        for key, check, args in checks:
-            try:
-                check(*args)
-            except QExpError as e:
-                if str(e) == str(err):
-                    raise QExpError(f"line {line_of[key]}: {e}") from None
-                break
-        raise
+        # The weight and N may follow the lines that need them, so the
+        # constructor checks entries and tables; name the one it refused.
+        if err.key is None:
+            raise
+        raise QExpError(f"line {line_of[err.key]}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
+
+def _derive(F: QExpansion, weight: Weight, support: dict) -> QExpansion:
+    """F's p, N and characters with the given weight and support, built
+    without the constructor's checks.  Every caller guarantees that each
+    index is a semi-positive triple of ints, each vector a nonzero tuple of
+    weight.n + 1 residues in [0, p), and that k1 + k2 keeps the parity of
+    F's, so the chi2(-1) check still holds."""
+    G = object.__new__(QExpansion)
+    vars(G).update(p=F.p, N=F.N, weight=weight, support=support,
+                   chi1=F.chi1, chi2=F.chi2)
+    return G
+
 
 def is_p_singular(F: QExpansion) -> bool:
     """True when every supported index (a, b, c) has p | a, p | b, p | c."""
@@ -232,7 +230,7 @@ def pth_root(F: QExpansion) -> QExpansion | None:
         return None
     new_support = {(a // F.p, b // F.p, c // F.p): vec
                    for (a, b, c), vec in F.support.items()}
-    return replace(F, weight=Weight(k // F.p, k // F.p), support=new_support)
+    return _derive(F, Weight(k // F.p, k // F.p), new_support)
 
 
 def index_scale_up(F: QExpansion) -> QExpansion:
@@ -241,8 +239,8 @@ def index_scale_up(F: QExpansion) -> QExpansion:
         raise QExpError("index scaling only defined for scalar-valued expansions")
     new_support = {(a * F.p, b * F.p, c * F.p): vec
                    for (a, b, c), vec in F.support.items()}
-    return replace(F, weight=Weight(F.weight.k1 * F.p, F.weight.k2 * F.p),
-                   support=new_support)
+    return _derive(F, Weight(F.weight.k1 * F.p, F.weight.k2 * F.p),
+                   new_support)
 
 
 def hasse_scale(F: QExpansion, m: int) -> QExpansion:
@@ -250,7 +248,8 @@ def hasse_scale(F: QExpansion, m: int) -> QExpansion:
     if m < 0:
         raise QExpError("nonnegative powers only")
     shift = m * (F.p - 1)
-    return replace(F, weight=Weight(F.weight.k1 + shift, F.weight.k2 + shift))
+    return _derive(F, Weight(F.weight.k1 + shift, F.weight.k2 + shift),
+                   dict(F.support))
 
 
 def linear_combine(pairs) -> QExpansion:
@@ -268,4 +267,5 @@ def linear_combine(pairs) -> QExpansion:
         for T, vec in F.support.items():
             cur = acc.get(T, (0,) * (n + 1))
             acc[T] = tuple((x + scalar * y) % p for x, y in zip(cur, vec))
-    return replace(first, support={T: v for T, v in acc.items() if any(v)})
+    return _derive(first, first.weight,
+                   {T: v for T, v in acc.items() if any(v)})

@@ -25,9 +25,7 @@ closed form; the library does not report it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .qexp import QExpansion
+from .qexp import QExpansion, _derive
 from .rep import (RepVector, Weight, pieri_component, pieri_split,
                   sym2_of_index)
 
@@ -50,13 +48,14 @@ def _require_scalar(F: QExpansion, name: str):
 
 def _build(F: QExpansion, weight: Weight, coefficient) -> QExpansion:
     """The form of the given weight whose coefficient at T is
-    ``coefficient(T, A_F(T))``, a tuple; zero coefficients are dropped."""
+    ``coefficient(T, A_F(T))``, a tuple of weight.n + 1 residues mod p;
+    zero ones are dropped.  Each weight here keeps the parity of k1 + k2."""
     support = {}
     for T, vec in F.support.items():
         new = coefficient(T, vec)
         if any(new):
             support[T] = new
-    return replace(F, weight=weight, support=support)
+    return _derive(F, weight, support)
 
 
 def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:

@@ -40,9 +40,37 @@ def test_is_prime_large():
     _check_prime(10 ** 18 + 3)
 
 
+def trial_division_factors(n):
+    """The distinct prime factors of n by trial division up to sqrt(n)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def test_prime_factors():
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(97) == [97]
+    for n in range(1, 10 ** 5):
+        assert prime_factors(n) == trial_division_factors(n), n
+    # products of two primes near 10^6, a square among them
+    q = [n for n in range(10 ** 6, 10 ** 6 + 200) if is_prime(n)]
+    for n in (q[0] * q[1], q[2] ** 2, q[3] * q[-1], 43 * q[4] ** 3):
+        assert prime_factors(n) == trial_division_factors(n), n
+
+
+def test_prime_factors_of_a_safe_prime_neighbour():
+    # p - 1 = 2q with q prime: trial division would take 10^9.5 steps
+    p = 20000000000000002559
+    assert prime_factors(p - 1) == [2, (p - 1) // 2]
+    assert prime_factors(p + 1) == [2, 3, 5, 977, 2665472534971]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

@@ -167,6 +167,18 @@ def test_hecke_malformed_targets_line(tmp_path, capsys, line):
     assert repr(line) in err
 
 
+def test_hecke_target_index_names_its_line(tmp_path, capsys):
+    src, _ = write_form(tmp_path, p=5)
+    targets = tmp_path / "t.txt"
+    targets.write_text("0 0 0\n\n-1 0 0\n", encoding="utf-8")
+    out = tmp_path / "out.smf"
+    assert run(["hecke", "--ell", "2", "--targets", str(targets),
+                "--assume-complete", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"{targets}:3: index (-1, 0, 0) violates semi-positivity\n")
+    assert not out.exists()
+
+
 def test_check_all_output_is_pinned(capsys):
     """The printed numbers of every check suite, byte for byte."""
     assert run(["check", "--suite", "all", "--p", "5,7,11,13"]) == 0

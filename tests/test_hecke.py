@@ -192,6 +192,30 @@ def test_weight_difference_bound_is_checked_before_any_plan():
     assert hecke._plan.cache_info().misses == misses
 
 
+def lift_count(ell, i):
+    return 1 + sum(ell ** b + ell ** (b - 1) for b in range(1, i + 1))
+
+
+def test_lift_bound_is_checked_before_any_plan():
+    from siegelmodp import hecke
+    F = mk(13, 3, (4, 4), {(0, 0, 0): (1,)})
+    # the tests and the benchmark use ell <= 5 and i <= 2
+    for ell, i in ((5, 2), (7, 2), (2, 5)):
+        assert lift_count(ell, i) <= hecke._MAX_LIFTS
+        eigenvalue(F, ell, i, assume_complete=True)
+    misses = hecke._plan.cache_info().misses
+    for ell, i in ((2, 6), (11, 2), (41, 3), (2, 20), (2, 10 ** 9),
+                   (1, 10 ** 9), (-1, 10 ** 9)):
+        assert i > 50 or lift_count(ell, i) > hecke._MAX_LIFTS
+        for call in (lambda: hecke_coefficient(F, ell, i, (0, 0, 0)),
+                     lambda: eigenvalue(F, ell, i)):
+            with pytest.raises(HeckeError, match=(
+                    rf"^Hecke operators run with at most 100 lifts, "
+                    rf"T\({ell}\^{i}\) needs more$")):
+                call()
+    assert hecke._plan.cache_info().misses == misses
+
+
 def test_tensor_normalization_matches_plain():
     """A tensor normalization (ell-exponents from the pre-image weight of a
     theta operator, times ell^(-j beta) for Pieri component j, 0 the largest)

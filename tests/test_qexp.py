@@ -82,6 +82,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(QExpError,
                        match="^line 3: chi2 table must have N=3 entries$"):
         parse("%SMF v1\np 7\nchi2 table:1 6 1 1\nN 3\nweight 4 4\n")
+    # the constructor checks every entry before the tables
+    with pytest.raises(QExpError, match=r"^line 6: index \(-1, 0, 0\) "
+                                        "violates semi-positivity$"):
+        parse(base + "chi1 table:1 2\ncoeff -1 0 0 : 1\n")
+    with pytest.raises(QExpError, match=r"^line 6: coefficient at \(1, 0, 1\)"
+                                        " has length 2, expected 1$"):
+        parse(base + "chi2 table:1 1\ncoeff 1 0 1 : 1 2\n")
     # the constructor checks p before any entry, and names no line for it
     with pytest.raises(QExpError, match="^p must be a prime >= 5, got 4$"):
         parse("%SMF v1\np 4\nN 3\nweight 4 4\ncoeff -1 0 0 : 1\n")
