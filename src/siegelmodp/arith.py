@@ -6,7 +6,9 @@ Provides:
 - :class:`Fp2`: the quadratic extension F_{p^2} = F_p[x]/(x^2 - r) with r the
   smallest quadratic non-residue; elements are pairs ``(a, b)`` meaning
   ``a + b*sqrt(r)``.
-- :func:`find_zeta`: a deterministic (p+1)-th root of -1 in F_{p^2}.
+- :func:`find_zeta`: a deterministic (p+1)-th root of -1 in F_{p^2}, a power
+  of an element whose norm is a non-residue; :func:`all_zetas`: every root,
+  as the points of the norm conic.
 - :class:`Series1`: sparse univariate truncated series (Laurent exponents
   allowed) over Fp or Fp2, with power-of-Frobenius substitution.
 - :class:`Series3`: sparse trivariate truncated series over F_p with the three
@@ -16,9 +18,6 @@ All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -72,61 +71,6 @@ def _check_prime(p: int, error=ValueError) -> None:
                     f"primality test, got {p}")
     if p < 5 or not is_prime(p):
         raise error(f"p must be a prime >= 5, got {p}")
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of 1 <= n < 3.3e24, in increasing order.
-
-    Factors up to 41 are divided out; the cofactors are split by Pollard's
-    rho until :func:`is_prime` accepts each part, so p - 1 = 2q with q a
-    large prime takes one primality test, not sqrt(q) divisions.
-    """
-    out = set()
-    for q in _SMALL_PRIMES:
-        if n % q == 0:
-            out.add(q)
-            while n % q == 0:
-                n //= q
-    parts = [n] if n > 1 else []
-    while parts:
-        m = parts.pop()
-        if is_prime(m):
-            out.add(m)
-        else:
-            d = _rho_divisor(m)
-            parts += [d, m // d]
-    return sorted(out)
-
-
-def _rho_divisor(n: int) -> int:
-    """A divisor 1 < d < n of a composite n with no prime factor <= 41:
-    Pollard's rho in Brent's variant (BIT 20 (1980)), with x -> x^2 + c for
-    c = 1, 2, ... until one cycle yields a proper divisor."""
-    batch = 128
-    c = 0
-    while True:
-        c += 1
-        y, r, prod, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(batch, r - k)):
-                    y = (y * y + c) % n
-                    prod = prod * (x - y) % n
-                g = gcd(prod, n)
-                k += batch
-            r *= 2
-        if g == n:  # the batch overshot: step through it one by one
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
-        if g != n:
-            return g
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +205,6 @@ class Fp2:
     def eq(self, x, y) -> bool:
         return self.is_zero(self.sub(x, y))
 
-    def generator(self):
-        """The lexicographically smallest generator of the multiplicative group."""
-        n = self.p * self.p - 1
-        # factor p - 1 and p + 1 apart, not their product p^2 - 1
-        qs = set(prime_factors(self.p - 1) + prime_factors(self.p + 1))
-        # (a, 0) and (0, b) square into F_p, so neither can generate
-        for a in range(1, self.p):
-            for b in range(1, self.p):
-                if all(self.pow((a, b), n // q) != self.one for q in qs):
-                    return (a, b)
-        raise AssertionError("no generator found")
-
     def __repr__(self):
         return f"Fp2({self.p}; x^2-{self.r})"
 
@@ -283,29 +215,36 @@ class Fp2:
         return hash(("Fp2", self.p))
 
 
-@lru_cache(maxsize=None)
 def find_zeta(p: int):
     """A deterministic (p+1)-th root of -1 in F_{p^2}.
 
-    Returns ``zeta = g**((p^2-1)//(2*(p+1)))`` for the lexicographically
-    smallest generator g of the multiplicative group.  The output satisfies
-    ``zeta^(p+1) = -1``.
+    x^(p+1) is the norm a^2 - r*b^2 of x = a + b*sqrt(r) (Lidl and
+    Niederreiter, *Finite Fields*, 2.3), so x^((p-1)/2) is a root whenever
+    that norm is a non-residue mod p.  Returns it for x = c + sqrt(r), with
+    c the least of 0, 1, 2, ... whose c^2 - r fails Euler's criterion;
+    (p+1)/2 of the c do.  This zeta is not derived from a generator of
+    F_{p^2}^x, and no factoring is needed.
     """
     K = Fp2(p)
-    g = K.generator()
-    zeta = K.pow(g, (p * p - 1) // (2 * (p + 1)))
-    assert K.eq(K.pow(zeta, p + 1), K.neg(K.one))
-    return zeta
+    c = 0
+    while pow(c * c - K.r, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return K.pow((c, 1), (p - 1) // 2)
 
 
 def all_zetas(p: int):
     """All p+1 of the (p+1)-th roots of -1 in F_{p^2}, sorted.
 
-    find_zeta(p) has order 2(p+1), so the roots are its odd powers.
+    x^(p+1) is the norm a^2 - r*b^2, so the roots are the points (a, b) of
+    the conic a^2 - r*b^2 = -1: for each b, the square roots of r*b^2 - 1
+    read from a table of the squares mod p.
     """
-    K = Fp2(p)
-    zeta = find_zeta(p)
-    return sorted(K.pow(zeta, 2 * j + 1) for j in range(p + 1))
+    r = Fp2(p).r
+    roots = {}
+    for a in range(p):
+        roots.setdefault(a * a % p, []).append(a)
+    return sorted((a, b) for b in range(p)
+                  for a in roots.get((r * b * b - 1) % p, ()))
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,7 @@ def _cmd_plan(args) -> int:
 
 def _suite_pieri(p: int) -> dict:
     import random
-    from .rep import (RepVector, Weight, pieri_reassemble, pieri_split,
-                      rep_apply)
+    from .rep import pieri_reassemble, pieri_split
     rng = random.Random(p)
     checked = 0
     for n in range(0, p - 2):

@@ -25,7 +25,7 @@ prime 5 <= p < 3.3e24); any other p raises :class:`CycleError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import _check_prime
 

@@ -37,13 +37,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import _check_prime
-from .qexp import QExpansion, QExpError, check_index
+from .arith import _PRIME_BOUND, _check_prime, is_prime
+from .qexp import QExpansion, check_index
 from .rep import RepVector, Weight, rep_apply
 
 
 class HeckeError(ValueError):
     pass
+
+
+def _check_ell(ell: int) -> None:
+    """The one rule for ell: a prime below the bound of the primality test."""
+    if not (ell < _PRIME_BOUND and is_prime(ell)):
+        raise HeckeError(f"ell must be a prime below {_PRIME_BOUND}, "
+                         f"got {ell}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,7 @@ def p1_representatives(ell: int, beta: int, N: int,
     ``scheme`` selects the lifting strategy: "crt" (minimal CRT lift) or
     "random" (randomized lifts, for representative-independence tests).
     """
+    _check_ell(ell)
     if gcd(ell, N) != 1:
         raise HeckeError("ell must be coprime to the level")
     if scheme not in ("crt", "random"):
@@ -193,8 +201,9 @@ _MAX_LIFTS = 100
 
 
 def _check_operator(F: QExpansion, ell: int, i: int) -> None:
-    """Reject T(ell^i) unless i >= 0, ell is coprime to p and the level,
-    k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts."""
+    """Reject T(ell^i) unless i >= 0, ell is a prime coprime to p and the
+    level, k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts."""
+    _check_ell(ell)
     if i < 0:
         raise HeckeError(f"power i must be >= 0, got {i}")
     if ell % F.p == 0 or gcd(ell, F.N) != 1:
@@ -204,8 +213,8 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
                          f"got {F.weight.n}")
     lifts, power = 1, 1
     for _ in range(i):  # stops as soon as the count passes the bound
-        lifts += abs(ell) * power + power
-        power *= abs(ell)
+        lifts += ell * power + power
+        power *= ell
         if lifts > _MAX_LIFTS:
             raise HeckeError(f"Hecke operators run with at most "
                              f"{_MAX_LIFTS} lifts, T({ell}^{i}) needs more")

@@ -64,13 +64,11 @@ class PieriSplit:
     """Result of splitting V(n, m) tensor V(2, 0).
 
     ``x0`` lies in V(n+2, m), ``x1`` in V(n, m+1), ``x2`` in V(n-2, m+2).
-    Components that do not exist for the given (n, p) are None with the
-    matching present flag False.
+    Components that do not exist for the given (n, p) are None.
     """
     x0: RepVector | None
     x1: RepVector | None
     x2: RepVector | None
-    present: tuple  # (bool, bool, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +186,10 @@ def pieri_component(n: int, p: int, x: dict, r: int,
 def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
     """Split x in V(n, m) tensor V(2, 0) into its (up to three) components.
 
-    Each component is :func:`pieri_component`; ``present`` records which
-    of them exist at (n, p).
+    Each component is :func:`pieri_component`, None where it does not
+    exist at (n, p).
     """
-    x0, x1, x2 = (pieri_component(n, p, x, r, m) for r in range(3))
-    return PieriSplit(x0, x1, x2, (x0 is not None, x1 is not None,
-                                   x2 is not None))
+    return PieriSplit(*(pieri_component(n, p, x, r, m) for r in range(3)))
 
 
 def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:

@@ -31,7 +31,7 @@ order tracking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arith import Fp, Fp2, Series1, _check_prime, all_zetas, find_zeta
 

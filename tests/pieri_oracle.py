@@ -203,7 +203,7 @@ def pieri_split(n, p, x, m=0):
             for r, val in r_entries.items():
                 comp[r] = (comp[r] + c * val) % p
         x2 = RepVector(n - 2, m + 2, tuple(comp))
-        return PieriSplit(None, None, x2, (False, False, True))
+        return PieriSplit(None, None, x2)
     cols, labels = _split_matrix(n, p)
     dim_keys = [(i, j) for i in range(n + 1) for j in range(3)]
     sol = _solve_mod_p(cols, target, dim_keys, p)
@@ -213,7 +213,7 @@ def pieri_split(n, p, x, m=0):
     x0 = RepVector(n + 2, m, tuple(out[0]))
     x1 = RepVector(n, m + 1, tuple(out[1])) if n >= 1 else None
     x2 = RepVector(n - 2, m + 2, tuple(out[2])) if n >= 2 else None
-    return PieriSplit(x0, x1, x2, (True, n >= 1, n >= 2))
+    return PieriSplit(x0, x1, x2)
 
 
 def pieri_reassemble(split, n, p):

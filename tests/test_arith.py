@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelmodp.arith import (Fp, Fp2, Series1, Series3, _check_prime,
-                              all_zetas, find_zeta, is_prime, prime_factors)
+                              all_zetas, find_zeta, is_prime)
 
 
 def test_is_prime():
@@ -40,39 +40,6 @@ def test_is_prime_large():
     _check_prime(10 ** 18 + 3)
 
 
-def trial_division_factors(n):
-    """The distinct prime factors of n by trial division up to sqrt(n)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def test_prime_factors():
-    assert prime_factors(360) == [2, 3, 5]
-    assert prime_factors(97) == [97]
-    for n in range(1, 10 ** 5):
-        assert prime_factors(n) == trial_division_factors(n), n
-    # products of two primes near 10^6, a square among them
-    q = [n for n in range(10 ** 6, 10 ** 6 + 200) if is_prime(n)]
-    for n in (q[0] * q[1], q[2] ** 2, q[3] * q[-1], 43 * q[4] ** 3):
-        assert prime_factors(n) == trial_division_factors(n), n
-
-
-def test_prime_factors_of_a_safe_prime_neighbour():
-    # p - 1 = 2q with q prime: trial division would take 10^9.5 steps
-    p = 20000000000000002559
-    assert prime_factors(p - 1) == [2, (p - 1) // 2]
-    assert prime_factors(p + 1) == [2, 3, 5, 977, 2665472534971]
-
-
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_fp_field_axioms(p):
     F = Fp(p)
@@ -99,17 +66,6 @@ def test_fp2_field(p):
         assert K.eq(K.mul(x, K.inv(x)), K.one)
         assert K.eq(K.frob(x), K.pow(x, p))
         assert K.eq(K.frob(K.frob(x)), x)
-    g = K.generator()
-    assert multiplicative_order(K, g) == p * p - 1
-
-
-def multiplicative_order(K, x) -> int:
-    n = K.p * K.p - 1
-    order = n
-    for q in prime_factors(n):
-        while order % q == 0 and K.eq(K.pow(x, order // q), K.one):
-            order //= q
-    return order
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -121,8 +77,15 @@ def test_zeta(p):
     assert len(zs) == p + 1 and z in zs
 
 
+def test_zeta_at_a_safe_prime_neighbour():
+    # a safe prime: p - 1 = 2q with q prime
+    p = 20000000000000002559
+    K = Fp2(p)
+    assert K.pow(find_zeta(p), p + 1) == K.neg(K.one)
+
+
 def test_all_zetas_matches_scan():
-    """The odd powers of find_zeta are exactly the roots a full scan of
+    """The points of the norm conic are exactly the roots a full scan of
     F_{p^2} finds, in the scan's order."""
     for p in range(5, 60):
         if is_prime(p):
@@ -133,20 +96,14 @@ def test_all_zetas_matches_scan():
             assert all_zetas(p) == scan, p
 
 
-def test_generator_and_nonresidue_match_full_walks():
-    """Fp2 skips the elements that cannot generate and finds r by Euler's
-    criterion; a walk over every element and the set of all squares give
-    the same generator, r and zeta."""
+def test_nonresidue_matches_the_squares():
+    """Fp2 finds r by Euler's criterion; the set of all squares gives the
+    same r."""
     for p in range(5, 200):
         if not is_prime(p):
             continue
-        K = Fp2(p)
         squares = {x * x % p for x in range(p)}
-        assert K.r == min(r for r in range(2, p) if r not in squares), p
-        g = next(x for x in elements(K) if not K.is_zero(x)
-                 and multiplicative_order(K, x) == p * p - 1)
-        assert K.generator() == g, p
-        assert find_zeta(p) == K.pow(g, (p - 1) // 2), p
+        assert Fp2(p).r == min(r for r in range(2, p) if r not in squares), p
 
 
 # ---------------------------------------------------------------------------

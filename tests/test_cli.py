@@ -3,8 +3,11 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelmodp import hecke, qexp, theta
+from siegelmodp.arith import _PRIME_BOUND
 from siegelmodp.cli import run
 from siegelmodp.qexp import QExpansion
 from siegelmodp.rep import Weight
@@ -312,6 +315,29 @@ def test_hecke_refuses_a_weight_difference_above_its_bound(tmp_path, capsys,
     assert hecke._plan.cache_info().misses == misses
     out, err = capsys.readouterr()
     assert out == "" and "Hecke operators run at k1-k2 <= 100, got 101" in err
+
+
+@pytest.mark.parametrize("ell", ["-2", "-1", "1", "4"])
+def test_hecke_refuses_an_ell_that_is_not_prime(tmp_path, capsys, ell):
+    src, _ = write_form(tmp_path)
+    assert run(["hecke", "eigen", "--ell", ell, "--power", "1",
+                "--assume-complete", str(src)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ell must be a prime below {_PRIME_BOUND}, got {ell}\n"
+
+
+@pytest.fixture(scope="module")
+def scalar_form(tmp_path_factory):
+    return write_form(tmp_path_factory.mktemp("scalar"))[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ell=st.integers(-60, 60), power=st.integers(-2, 3))
+def test_hecke_eigen_exits_0_or_1_for_any_ell_and_power(scalar_form, ell,
+                                                        power):
+    assert run(["hecke", "eigen", "--ell", str(ell), "--power", str(power),
+                "--assume-complete", str(scalar_form)]) in (0, 1)
 
 
 @pytest.mark.parametrize("phi", ["0,1", "1,2"])

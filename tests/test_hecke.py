@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 
 import hecke_oracle
+from siegelmodp.arith import _PRIME_BOUND
 from siegelmodp.hecke import (HeckeError, constant_term_multiplier,
                               eigenvalue, gauss_reduce, hecke_coefficient,
                               index_transform, p1_classes,
@@ -95,6 +96,13 @@ def test_missing_indices_error():
         hecke_coefficient(F, 2, 1, (1, 0, 1))
     need = required_indices(2, 1, (1, 0, 1), 3)
     assert (2, 0, 2) in need  # the alpha-branch doubling
+
+
+@pytest.mark.parametrize("ell", [-2, 1, 4, _PRIME_BOUND])
+def test_required_indices_refuses_an_ell_that_is_not_prime(ell):
+    with pytest.raises(HeckeError, match=f"ell must be a prime below "
+                                         f"{_PRIME_BOUND}, got {ell}$"):
+        required_indices(ell, 1, (1, 0, 1), 3)
 
 
 def test_gauss_reduce():
@@ -204,14 +212,20 @@ def test_lift_bound_is_checked_before_any_plan():
         assert lift_count(ell, i) <= hecke._MAX_LIFTS
         eigenvalue(F, ell, i, assume_complete=True)
     misses = hecke._plan.cache_info().misses
-    for ell, i in ((2, 6), (11, 2), (41, 3), (2, 20), (2, 10 ** 9),
-                   (1, 10 ** 9), (-1, 10 ** 9)):
+    for ell, i in ((2, 6), (11, 2), (41, 3), (2, 20), (2, 10 ** 9)):
         assert i > 50 or lift_count(ell, i) > hecke._MAX_LIFTS
         for call in (lambda: hecke_coefficient(F, ell, i, (0, 0, 0)),
                      lambda: eigenvalue(F, ell, i)):
             with pytest.raises(HeckeError, match=(
                     rf"^Hecke operators run with at most 100 lifts, "
                     rf"T\({ell}\^{i}\) needs more$")):
+                call()
+    # an ell that is not prime is refused before its lifts are counted
+    for ell in (1, -1):
+        for call in (lambda: hecke_coefficient(F, ell, 10 ** 9, (0, 0, 0)),
+                     lambda: eigenvalue(F, ell, 10 ** 9)):
+            with pytest.raises(HeckeError, match=rf"^ell must be a prime "
+                                                 rf"below \d+, got {ell}$"):
                 call()
     assert hecke._plan.cache_info().misses == misses
 

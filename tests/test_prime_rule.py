@@ -81,13 +81,14 @@ def test_charpoly_names_a_bad_p_before_ell(capsys):
 
 
 # small p on both sides of the rule, plus a large prime, the bound itself
-# and a Mersenne prime above it.  strata order stays at p <= 10^9: its
-# generator search factors p - 1 and p + 1 by trial division, and
-# 999984683 = 2q + 1 = 12q' - 1 (q, q' prime) is the hardest kind there.
+# and a Mersenne prime above it.  strata order also draws the safe primes
+# 999984683 = 2q + 1 = 12q' - 1 (q, q' prime) and 20000000000000002559:
+# its zeta needs one Euler criterion per candidate and no factoring.
 SMALL_P = st.integers(-10, 60)
 P_VALUES = st.one_of(SMALL_P, st.sampled_from([10 ** 9 + 7, _PRIME_BOUND,
                                                2 ** 89 - 1]))
-STRATA_P = st.one_of(SMALL_P, st.sampled_from([999_999_937, 999_984_683]))
+STRATA_P = st.one_of(SMALL_P, st.sampled_from(
+    [999_999_937, 999_984_683, 20_000_000_000_000_002_559]))
 COMMANDS = st.sampled_from(["cycle", "strata order", "charpoly", "plan",
                             "check"])
 

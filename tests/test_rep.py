@@ -100,7 +100,6 @@ def test_degenerate_split_only_x2(p):
         x = rand_tensor(rng, n, p)
         split = pieri_split(n, p, x)
         assert split.x0 is None and split.x1 is None
-        assert split.present == (False, False, True)
         assert split.x2.n == n - 2 and split.x2.m == 2
 
 
@@ -130,7 +129,7 @@ def test_pieri_errors():
             with pytest.raises(ValueError):
                 pieri_split(n, p, {})
             with pytest.raises(ValueError):
-                pieri_reassemble(PieriSplit(None, None, None, (False,) * 3), n, p)
+                pieri_reassemble(PieriSplit(None, None, None), n, p)
 
 
 def _outcome(fn, *args):

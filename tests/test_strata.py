@@ -105,6 +105,12 @@ def test_zeta_independence_exhaustive_p5():
     assert len(all_zetas(5)) == 6
 
 
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_zeta_independence_exhaustive(p):
+    assert zeta_independent(p)
+    assert len(all_zetas(p)) == p + 1
+
+
 def test_report_and_errors():
     rep = partial_hasse_report((1, 1), 5, variant=1)
     assert rep["order"] == 34 and rep["formula_check"]["match"]

@@ -75,10 +75,11 @@ def test_theta_j_domains():
         highest = {1: p - 1, 2: p - 3, 3: p - 3}
         for n in range(p + 2):
             F = mk(p, N, (4 + n, 4), rand_support(random.Random(n), p, n))
+            split = pieri_split(n, p, {}) if n <= p - 1 else None
             for j in (1, 2, 3):
                 defined = lowest[j] <= n <= highest[j]
-                assert defined == (n <= p - 1
-                                   and pieri_split(n, p, {}).present[3 - j])
+                assert defined == (split is not None and (
+                    split.x0, split.x1, split.x2)[3 - j] is not None)
                 if defined:
                     assert theta_j(F, j).weight.n == n + 2 * j - 4
                     continue
