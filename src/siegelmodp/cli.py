@@ -7,7 +7,7 @@ Subcommands::
     hecke eigen --ell L --power I IN
     cycle --scalar|--vector --p P --k K     (p <= 10^6)
           [--semi-ordinary|--non-semi-ordinary] [--branch B]
-    strata order --phi A,B [--variant 1|2] --p P [--cutoff K]
+    strata order --phi A,B [--variant 1|2] --p P
                  (--variant only with --phi 1,1)
     strata tables
     charpoly --ell L --lam1 X --lam2 Y --chi2 Z --k1 A --k2 B --p P
@@ -164,8 +164,7 @@ def _cmd_strata_order(args) -> int:
         raise CliError("--variant applies only to --phi 1,1")
     if phi == (1, 1) and variant is None:
         variant = 1
-    rep = strata.partial_hasse_report(phi, args.p, variant=variant,
-                                      K=args.cutoff)
+    rep = strata.partial_hasse_report(phi, args.p, variant=variant)
     check = rep["formula_check"]
     _emit({"phi": rep["phi"], "variant": rep["variant"], "p": rep["p"],
            "order": rep["order"], "expected": check["formula"],
@@ -395,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_so.add_argument("--variant", type=int, choices=[1, 2], default=None,
                       help="1 or 2, for --phi 1,1 only (default 1)")
     p_so.add_argument("--p", type=int, required=True)
-    p_so.add_argument("--cutoff", type=int, default=None)
     p_so.set_defaults(fn=_cmd_strata_order)
 
     p_st = sub.add_parser("strata-tables", help="print the stratum tables")

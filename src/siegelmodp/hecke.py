@@ -107,12 +107,33 @@ def _complete_matrix(u1: int, u2: int, N: int, rng) -> tuple:
     return ((u1, u2), (x, y))
 
 
+# The largest number of lifts in a plan, 1 + sum over 1 <= beta <= i of
+# ell^beta + ell^(beta-1).  A lift costs 15-35 ms at n = 100: the plan of
+# T(2^5) (94 lifts) takes 2.4 s there, that of T(13^2) (197 lifts) 3.3 s
+# and that of T(2^7) (382 lifts) 10.8 s.
+_MAX_LIFTS = 100
+
+
+def _check_lifts(ell: int, i: int) -> None:
+    """Refuse T(ell^i) before a lift is built if its plan would hold more
+    than _MAX_LIFTS lifts.  The plan of T(ell^beta), beta <= i, is no
+    larger, so every lift of an admitted operator is admitted too."""
+    lifts, power = 1, 1
+    for _ in range(i):  # stops as soon as the count passes the bound
+        lifts += ell * power + power
+        power *= ell
+        if lifts > _MAX_LIFTS:
+            raise HeckeError(f"Hecke operators run with at most "
+                             f"{_MAX_LIFTS} lifts, T({ell}^{i}) needs more")
+
+
 def p1_representatives(ell: int, beta: int, N: int,
                        scheme: str = "crt", seed: int = 0) -> list[P1Rep]:
     """Determinant-1 lifts of P^1(Z/ell^beta), congruent to 1 mod N.
 
     ``scheme`` selects the lifting strategy: "crt" (minimal CRT lift) or
     "random" (randomized lifts, for representative-independence tests).
+    It refuses the lifts of a beta whose T(ell^beta) the operators refuse.
     """
     _check_ell(ell)
     if gcd(ell, N) != 1:
@@ -120,6 +141,7 @@ def p1_representatives(ell: int, beta: int, N: int,
     if scheme not in ("crt", "random"):
         raise HeckeError(f"unknown lift scheme {scheme!r}; "
                          "choose 'crt' or 'random'")
+    _check_lifts(ell, beta)
     rng = random.Random(seed) if scheme == "random" else None
     q = ell ** beta
     out = []
@@ -179,6 +201,8 @@ def _branches(ell: int, i: int, T, lifts_by_beta):
 
 def required_indices(ell: int, i: int, T, N: int) -> set:
     """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
+    _check_ell(ell)
+    _check_lifts(ell, i)
     lifts = [p1_representatives(ell, beta, N) for beta in range(i + 1)]
     return {T2 for *_, T2 in _branches(ell, i, check_index(T), lifts)}
 
@@ -193,16 +217,11 @@ def required_indices(ell: int, i: int, T, N: int) -> set:
 # n = 300; T(3^2) takes 0.31 s at n = 100.
 _MAX_N = 100
 
-# The largest number of lifts in a plan, 1 + sum over 1 <= beta <= i of
-# ell^beta + ell^(beta-1).  A lift costs 15-35 ms at n = 100: the plan of
-# T(2^5) (94 lifts) takes 2.4 s there, that of T(13^2) (197 lifts) 3.3 s
-# and that of T(2^7) (382 lifts) 10.8 s.
-_MAX_LIFTS = 100
-
 
 def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     """Reject T(ell^i) unless i >= 0, ell is a prime coprime to p and the
-    level, k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts."""
+    level, k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts
+    (:func:`_check_lifts`)."""
     _check_ell(ell)
     if i < 0:
         raise HeckeError(f"power i must be >= 0, got {i}")
@@ -211,13 +230,7 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     if F.weight.n > _MAX_N:
         raise HeckeError(f"Hecke operators run at k1-k2 <= {_MAX_N}, "
                          f"got {F.weight.n}")
-    lifts, power = 1, 1
-    for _ in range(i):  # stops as soon as the count passes the bound
-        lifts += ell * power + power
-        power *= ell
-        if lifts > _MAX_LIFTS:
-            raise HeckeError(f"Hecke operators run with at most "
-                             f"{_MAX_LIFTS} lifts, T({ell}^{i}) needs more")
+    _check_lifts(ell, i)
 
 
 # Plans of the operators in use.  One takes about 2 kB for a scalar T(2),

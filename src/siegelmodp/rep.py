@@ -13,8 +13,10 @@ The Pieri split decomposes V(n, m) tensor V(2, 0) into (up to) three
 components V(n+2, m), V(n, m+1), V(n-2, m+2).  They are the transvectants
 of the Omega-process (Olver, *Classical Invariant Theory*, ch. 5): the
 product, the first transvectant over n+2 and the second over 2n(n+1).
-One projector, :func:`pieri_component`, computes each of them, and
-:func:`pieri_split` is three calls to it.  For n in {p-2, p-1} only the
+One projector, :func:`pieri_component`, computes each of them in closed
+form from the tensor's three columns, the V(n, m) vectors paired with
+e1^2, e1 e2 and e2^2; :func:`pieri_split` fills the columns of a tensor
+given as a dict and calls it three times.  For n in {p-2, p-1} only the
 V(n-2, m+2) component is defined.  At n = p-1 its denominator 2n(n+1)
 carries one factor p, which is dropped: the result is the
 characteristic-0 projection times p, reduced mod p.  Reassembly is the
@@ -122,61 +124,56 @@ def _binomial_expand(a, c, e1, b, d, e2, p):
     return out
 
 
-def sym2_of_index(T, p: int) -> RepVector:
-    """The V(2, 0) vector a*e1^2 + b*e1*e2 + c*e2^2 attached to T = (a, b, c)."""
-    _check_prime(p)
-    a, b, c = T
-    return RepVector(2, 0, (a % p, b % p, c % p))
-
-
 # ---------------------------------------------------------------------------
 # the Pieri split
 # ---------------------------------------------------------------------------
 #
-# Write X = e1, Y = e2, u_i = X^(n-i) Y^i and v_j = X^(2-j) Y^j, with a = n-i,
-# b = i, s = 2-j, t = j.  The Omega-process sends c * u_i (x) v_j to
-#   x0[i+j]   += c
-#   x1[i+j-1] += c (a t - b s) / (n+2)
-#   x2[i+j-2] += c (a(a-1) t(t-1) - 2 a b s t + b(b-1) s(s-1)) / (2n(n+1))
-# The weights of x1 and x2 vanish as integers whenever their index falls
-# outside the component.  With h, g, q the polynomials of x0, x1, x2 and
-# omega = X (x) Y - Y (x) X, the inverse is
+# Write X = e1, Y = e2 and u_i = X^(n-i) Y^i.  A tensor of V(n) (x) V(2) is
+# c0 (x) X^2 + c1 (x) XY + c2 (x) Y^2 for three columns c0, c1, c2 in V(n),
+# with c[i] = 0 outside 0 <= i <= n.  The Omega-process gives, at index k,
+#   x0[k] = c0[k] + c1[k-1] + c2[k-2]
+#   x1[k] = ((n-2k) c1[k] - 2(k+1) c0[k+1] + 2(n-k+1) c2[k-1]) / (n+2)
+#   x2[k] = (2(k+2)(k+1) c0[k+2] - 2(k+1)(n-k-1) c1[k+1]
+#            + 2(n-k)(n-k-1) c2[k]) / (2n(n+1))
+# With h, g, q the polynomials of x0, x1, x2 and omega = X (x) Y - Y (x) X,
+# the inverse is
 #   (h_XX (x) X^2 + 2 h_XY (x) XY + h_YY (x) Y^2) / ((n+2)(n+1))
 #   + (g_X (x) X + g_Y (x) Y) omega / n  +  q omega^2.
 
-def pieri_component(n: int, p: int, x: dict, r: int,
-                    m: int = 0) -> RepVector | None:
-    """Component ``x<r>`` (r = 0, 1 or 2) of x in V(n, m) tensor V(2, 0).
-
-    ``x`` maps pairs ``(i, j)``, for u_i tensor e1^(2-j) e2^j, to integers.
-    The result lies in V(n+2-2r, m+r).  It is None where the component does
-    not exist: x0 needs n <= p-3, x1 needs 1 <= n <= p-3, x2 needs n >= 2.
-    """
+def _check_degree(n: int, p: int) -> None:
     _check_prime(p)
     if n < 0:
         raise ValueError("negative symmetric degree")
     if n > p - 1:
         raise ValueError("split undefined at this degree")
+
+
+def pieri_component(n: int, p: int, cols, r: int,
+                    m: int = 0) -> RepVector | None:
+    """Component ``x<r>`` (r = 0, 1 or 2) of c0 (x) X^2 + c1 (x) XY + c2 (x) Y^2
+    in V(n, m) tensor V(2, 0), given the columns ``cols = (c0, c1, c2)``.
+
+    The result lies in V(n+2-2r, m+r).  It is None where the component does
+    not exist: x0 needs n <= p-3, x1 needs 1 <= n <= p-3, x2 needs n >= 2.
+    """
+    _check_degree(n, p)
     if r not in (0, 1, 2):
         raise ValueError(f"no Pieri component {r}; choose 0, 1 or 2")
+    if len(cols) != 3 or any(len(c) != n + 1 for c in cols):
+        raise ValueError(f"a tensor of V({n}) (x) V(2) has 3 columns of "
+                         f"length {n + 1}")
     if r > n or (r < 2 and n >= p - 2):
         return None
-    out = [0] * (n + 3 - 2 * r)
-    for (i, j), c in x.items():
-        if not (0 <= i <= n and 0 <= j <= 2):
-            raise ValueError(f"tensor index {(i, j)} out of range for n={n}")
-        c %= p
-        if not c:
-            continue
-        a, b, s, t = n - i, i, 2 - j, j
-        if r == 0:
-            w = 1
-        elif r == 1:
-            w = a * t - b * s
-        else:
-            w = a * (a - 1) * t * (t - 1) - 2 * a * b * s * t + b * (b - 1) * s * (s - 1)
-        if w:
-            out[i + j - r] += c * w
+    c0, c1, c2 = ([0, 0, *c, 0, 0] for c in cols)  # c[i] at position i + 2
+    if r == 0:
+        out = [c0[k + 2] + c1[k + 1] + c2[k] for k in range(n + 3)]
+    elif r == 1:
+        out = [(n - 2 * k) * c1[k + 2] - 2 * (k + 1) * c0[k + 3]
+               + 2 * (n - k + 1) * c2[k + 1] for k in range(n + 1)]
+    else:
+        out = [2 * (k + 2) * (k + 1) * c0[k + 4]
+               - 2 * (k + 1) * (n - k - 1) * c1[k + 3]
+               + 2 * (n - k) * (n - k - 1) * c2[k + 2] for k in range(n - 1)]
     # at n = p-1 the factor n+1 = p of 2n(n+1) is dropped
     denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
     inverse = pow(denominator, p - 2, p)
@@ -186,10 +183,17 @@ def pieri_component(n: int, p: int, x: dict, r: int,
 def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
     """Split x in V(n, m) tensor V(2, 0) into its (up to three) components.
 
-    Each component is :func:`pieri_component`, None where it does not
-    exist at (n, p).
+    ``x`` maps pairs ``(i, j)``, for u_i tensor e1^(2-j) e2^j, to integers.
+    Each component is :func:`pieri_component` of the columns of x, None
+    where it does not exist at (n, p).
     """
-    return PieriSplit(*(pieri_component(n, p, x, r, m) for r in range(3)))
+    _check_degree(n, p)
+    cols = [[0] * (n + 1) for _ in range(3)]
+    for (i, j), c in x.items():
+        if not (0 <= i <= n and 0 <= j <= 2):
+            raise ValueError(f"tensor index {(i, j)} out of range for n={n}")
+        cols[j][i] = c
+    return PieriSplit(*(pieri_component(n, p, cols, r, m) for r in range(3)))
 
 
 def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:

@@ -16,6 +16,7 @@ theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 
 theta_j keeps Pieri component x(3-j) of Sym^n tensor Sym^2, n = k1 - k2,
 and exists exactly where that component does (rep.pieri_component).
+Scalar theta is theta_3 on scalar forms.
 
 Characters are unchanged.  Constant prefactors (2/3 for the big operator,
 1/18 in the four-fold closed form) are used exactly as given.  The tests
@@ -26,7 +27,7 @@ closed form; the library does not report it.
 from __future__ import annotations
 
 from .qexp import QExpansion, _derive
-from .rep import RepVector, Weight, pieri_component, sym2_of_index
+from .rep import RepVector, Weight, pieri_component
 # theta does not call pieri_split; the benchmark's tracer tests still look
 # it up as theta.pieri_split
 from .rep import pieri_split  # noqa: F401
@@ -71,13 +72,10 @@ def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:
 
 
 def theta_scalar(F: QExpansion) -> QExpansion:
-    """Scalar theta: coefficient at T becomes (1/N) A_F(T) (a, b, c) in V(2)."""
+    """Scalar theta: coefficient at T becomes (1/N) A_F(T) (a, b, c) in V(2).
+    It is theta_3 at k1 = k2."""
     _require_scalar(F, "theta_scalar")
-    p = F.p
-    ninv = pow(F.N % p, p - 2, p)
-    k = F.weight.k1
-    return _build(F, Weight(k + p + 1, k + p - 1), lambda T, vec: tuple(
-        vec[0] * ninv * x % p for x in sym2_of_index(T, p).coords))
+    return theta_j(F, 3)
 
 
 def big_theta(F: QExpansion, m: int = 1) -> QExpansion:
@@ -97,24 +95,20 @@ _WEIGHT_SHIFT = {1: (-1, +1), 2: (0, 0), 3: (+1, -1)}
 def _check_domain(n: int, p: int, j: int):
     if j not in (1, 2, 3):
         raise ThetaError("j must be 1, 2 or 3")
-    if n > p - 1 or pieri_component(n, p, {}, 3 - j) is None:
+    if n > p - 1 or pieri_component(n, p, [[0] * (n + 1)] * 3,
+                                    3 - j) is None:
         raise ThetaError(f"theta_{j} is undefined at k1-k2={n}, p={p}: "
                          f"Sym^{n} (x) Sym^2 has no Pieri component "
                          f"x{3 - j} there")
 
 
 def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
-    """The coefficient of theta_j(F) at T, given A_F(T) = vec."""
+    """The coefficient of theta_j(F) at T, given A_F(T) = vec: the Pieri
+    component of f (x) (a X^2 + b XY + c Y^2), f = vec / N, whose columns
+    are a f, b f and c f."""
     ninv = pow(N % p, p - 2, p)
-    a, b, c = T
-    sym = (a % p, b % p, c % p)
-    x = {}
-    for i, Ai in enumerate(vec):
-        for t, st in enumerate(sym):
-            v = Ai * st * ninv % p
-            if v:
-                x[(i, t)] = v
-    comp = pieri_component(n, p, x, 3 - j)
+    f = [v * ninv % p for v in vec]
+    comp = pieri_component(n, p, [[t * v for v in f] for t in T], 3 - j)
     if comp is None:
         raise ThetaError(f"component {j} absent at this weight")
     return comp

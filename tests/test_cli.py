@@ -356,3 +356,12 @@ def test_strata_order_variant_defaults_to_1_at_phi_1_1(capsys):
                 "--p", "5"]) == 0
     assert capsys.readouterr().out == default
     assert json.loads(default)["variant"] == 1
+
+
+def test_strata_order_has_no_cutoff_option(capsys):
+    # the order's cutoff is derived from p; the option could only repeat
+    # the answer or turn it into a failure
+    with pytest.raises(SystemExit) as exc:
+        run(["strata", "order", "--phi", "1,1", "--p", "5", "--cutoff", "100"])
+    assert exc.value.code == 2
+    assert "--cutoff" in capsys.readouterr().err

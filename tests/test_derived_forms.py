@@ -102,7 +102,7 @@ def test_theta2_iterate_closed(F, m):
 def test_theta_j_on_every_valid_degree(p, data):
     for n in range(p):
         for j in (1, 2, 3):
-            if pieri_component(n, p, {}, 3 - j) is None:
+            if pieri_component(n, p, [[0] * (n + 1)] * 3, 3 - j) is None:
                 continue
             G = derived(theta.theta_j, data.draw(forms(p=p, n=n)), j)
             assert G.weight.n == n + 2 * (j - 2)

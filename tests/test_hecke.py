@@ -1,4 +1,5 @@
 import random
+import time
 from math import gcd
 
 import pytest
@@ -202,6 +203,29 @@ def test_weight_difference_bound_is_checked_before_any_plan():
 
 def lift_count(ell, i):
     return 1 + sum(ell ** b + ell ** (b - 1) for b in range(1, i + 1))
+
+
+@pytest.mark.parametrize("call, ell, i", [
+    (lambda: required_indices(100003, 1, (1, 0, 1), 3), 100003, 1),
+    (lambda: p1_representatives(2, 17, 3), 2, 17),
+    (lambda: p1_representatives(11, 2, 3, scheme="random"), 11, 2),
+], ids=["required_indices", "p1_representatives", "random_scheme"])
+def test_lift_builders_refuse_a_plan_above_the_bound(call, ell, i):
+    start = time.perf_counter()
+    with pytest.raises(HeckeError, match=(
+            rf"^Hecke operators run with at most 100 lifts, "
+            rf"T\({ell}\^{i}\) needs more$")):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_lift_builders_admit_every_admitted_operator():
+    # T(2^5) and T(7^2) are the largest plans the tests build
+    for ell, i, lifts in ((2, 5, 94), (7, 2, 65)):
+        assert lift_count(ell, i) == lifts
+        assert sum(len(p1_representatives(ell, b, 3))
+                   for b in range(i + 1)) == lifts
+        assert required_indices(ell, i, (1, 0, 1), 3)
 
 
 def test_lift_bound_is_checked_before_any_plan():

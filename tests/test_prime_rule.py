@@ -47,8 +47,9 @@ ENTRY_POINTS = [
     ("rep_apply", ValueError,
      lambda p: rep.rep_apply(rep.Weight(1, 0), ((1, 0), (0, 1)),
                              rep.RepVector(1, 0, (1, 0)), p)),
-    ("sym2_of_index", ValueError, lambda p: rep.sym2_of_index((1, 0, 1), p)),
     ("pieri_split", ValueError, lambda p: rep.pieri_split(0, p, {})),
+    ("pieri_component", ValueError,
+     lambda p: rep.pieri_component(0, p, ([1], [2], [3]), 0)),
     ("Fp", ValueError, Fp),
     ("Fp2", ValueError, Fp2),
     ("Series3", ValueError, lambda p: Series3(p, 2)),

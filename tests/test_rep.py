@@ -1,11 +1,11 @@
 import random
+import time
 
 import pytest
 
 import pieri_oracle
 from siegelmodp.rep import (PieriSplit, RepVector, Weight, pieri_component,
-                            pieri_reassemble, pieri_split, rep_apply,
-                            sym2_of_index)
+                            pieri_reassemble, pieri_split, rep_apply)
 
 
 def rand_gl2(rng, p):
@@ -44,9 +44,8 @@ def test_rep_apply_identity_and_composition():
 
 
 def test_sym2_of_index():
-    v = sym2_of_index((2, 3, 4), 7)
-    assert v.coords == (2, 3, 4)
-    # transforms like the quadratic form a x^2 + b xy + c y^2 under U T tU
+    # a e1^2 + b e1 e2 + c e2^2 in V(2) transforms like the quadratic form
+    # a x^2 + b xy + c y^2 under U T tU
     p = 11
     rng = random.Random(1)
     for _ in range(20):
@@ -56,7 +55,7 @@ def test_sym2_of_index():
         aU = (a * u1 * u1 + b * u1 * u2 + c * u2 * u2) % p
         cU = (a * x * x + b * x * y + c * y * y) % p
         bU = (2 * (a * u1 * x + c * u2 * y) + b * (u1 * y + u2 * x)) % p
-        got = rep_apply(Weight(2, 0), g, sym2_of_index((a, b, c), p), p)
+        got = rep_apply(Weight(2, 0), g, RepVector(2, 0, (a, b, c)), p)
         assert got.coords == (aU, bU, cU)
 
 
@@ -120,9 +119,6 @@ def test_pieri_errors():
         pieri_split(2, 5, {(3, 0): 1})
     with pytest.raises(ValueError, match="out of range"):
         pieri_split(4, 5, {(0, -1): 1})
-    for r in (-1, 3):
-        with pytest.raises(ValueError, match="no Pieri component"):
-            pieri_component(2, 5, {}, r)
     # the split needs a prime p >= 5
     for p in (2, 3):
         for n in range(-1, p + 1):
@@ -130,6 +126,49 @@ def test_pieri_errors():
                 pieri_split(n, p, {})
             with pytest.raises(ValueError):
                 pieri_reassemble(PieriSplit(None, None, None), n, p)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pieri_split(10 ** 12, 5, {}), "split undefined at this degree"),
+    (lambda: pieri_split(-1, 5, {}), "negative symmetric degree"),
+    (lambda: pieri_component(10 ** 12, 5, [], 0),
+     "split undefined at this degree"),
+    (lambda: pieri_component(2, 5, ([0] * 3,) * 3, -1),
+     "no Pieri component -1; choose 0, 1 or 2"),
+    (lambda: pieri_component(2, 5, ([0] * 3,) * 3, 3),
+     "no Pieri component 3; choose 0, 1 or 2"),
+    (lambda: pieri_component(2, 5, ([0] * 3, [0] * 3, [0] * 2), 0),
+     "3 columns of length 3"),
+    (lambda: pieri_component(2, 5, ([0] * 3,) * 2, 2),
+     "3 columns of length 3"),
+    (lambda: pieri_component(2, 5, ([0] * 3,) * 4, 2),
+     "3 columns of length 3"),
+    (lambda: pieri_component(3, 5, ([0] * 4,) * 2, 0),
+     "3 columns of length 4"),
+], ids=["split_huge_n", "split_negative_n", "component_huge_n", "r=-1",
+        "r=3", "short_column", "two_columns", "four_columns",
+        "absent_component"])
+def test_projector_refuses_before_it_allocates(call, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert time.perf_counter() - start < 0.1
+
+
+def test_projector_refusals_keep_their_precedence():
+    # p, then the degree, then r, then the columns
+    with pytest.raises(ValueError, match="prime"):
+        pieri_component(-1, 4, {}, 5)
+    with pytest.raises(ValueError, match="negative"):
+        pieri_component(-1, 5, {}, 5)
+    with pytest.raises(ValueError, match="undefined"):
+        pieri_component(5, 5, {}, 5)
+    with pytest.raises(ValueError, match="no Pieri component"):
+        pieri_component(2, 5, {}, 5)
+    with pytest.raises(ValueError, match="prime"):
+        pieri_split(-1, 4, {(9, 9): 1})
+    with pytest.raises(ValueError, match="undefined"):
+        pieri_split(5, 5, {(9, 9): 1})
 
 
 def _outcome(fn, *args):
@@ -152,8 +191,9 @@ def test_pieri_matches_linear_algebra_oracle(p):
             split = _outcome(pieri_split, n, p, x, 1)
             want = _outcome(pieri_oracle.pieri_split, n, p, x, 1)
             assert split == want, (p, n, x)
+            cols = [[x.get((i, j), 0) for i in dims] for j in range(3)]
             for r in range(3):
-                assert (_outcome(pieri_component, n, p, x, r, 1)
+                assert (_outcome(pieri_component, n, p, cols, r, 1)
                         == (want if want is ValueError
                             else getattr(want, f"x{r}"))), (p, n, r, x)
             if split is ValueError:

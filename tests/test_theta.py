@@ -1,10 +1,11 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from siegelmodp.qexp import QExpansion, serialize
-from siegelmodp.rep import Weight, pieri_split, sym2_of_index
+from siegelmodp.rep import Weight, pieri_split
 from siegelmodp.theta import (ThetaError, big_theta, big_theta_composite,
                               theta2_iterate_closed, theta_j,
                               theta_j_coefficient, theta_scalar)
@@ -144,6 +145,18 @@ def test_theta_j_coefficient_matches_operator():
                 assert G.support[T] == comp.coords
             else:
                 assert T not in G.support
+
+
+def test_theta_j_coefficient_refuses_a_vec_of_the_wrong_length():
+    for vec in ((1, 2), (1, 2, 3, 4), ()):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="3 columns of length 3"):
+            theta_j_coefficient(vec, (1, 0, 1), 2, 7, 3, 2)
+        assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="split undefined"):
+        theta_j_coefficient((1,), (1, 0, 1), 10 ** 12, 7, 3, 2)
+    assert time.perf_counter() - start < 0.1
 
 
 def pin_form(p, n):
