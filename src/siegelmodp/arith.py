@@ -73,6 +73,13 @@ def _check_prime(p: int, error=ValueError) -> None:
         raise error(f"p must be a prime >= 5, got {p}")
 
 
+def _check_ell(ell: int, error=ValueError) -> None:
+    """The one rule for ell: a prime below the bound of the primality test,
+    else raise ``error``."""
+    if not (ell < _PRIME_BOUND and is_prime(ell)):
+        raise error(f"ell must be a prime below {_PRIME_BOUND}, got {ell}")
+
+
 # ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------

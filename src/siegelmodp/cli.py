@@ -17,6 +17,11 @@ Subcommands::
 Exit codes: 0 success, 1 domain error (the module's message, verbatim, on
 stderr), 2 usage error.  JSON is the only structured output format; form
 files use the SMF1 text format.
+
+This module imports nothing of the package at its top.  Each subcommand
+handler and each check suite imports the modules it runs at the top of its
+own body, so a fresh call loads only those (``charpoly`` loads ``arith``
+and ``galois``, never ``hecke``) and a usage error loads none.
 """
 
 from __future__ import annotations
@@ -24,9 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-from . import cycles, galois, hecke, qexp, strata, theta
-from .arith import _check_prime
 
 
 class CliError(ValueError):
@@ -37,12 +39,14 @@ class CliError(ValueError):
 _DOMAIN_ERRORS = (ValueError, OSError)
 
 
-def _read_form(path: str) -> qexp.QExpansion:
+def _read_form(path: str):
+    from . import qexp
     with open(path, "r", encoding="utf-8") as fh:
         return qexp.parse(fh.read())
 
 
-def _write_form(F: qexp.QExpansion, path: str) -> None:
+def _write_form(F, path: str) -> None:
+    from . import qexp
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(qexp.serialize(F))
 
@@ -62,6 +66,7 @@ _THETA_MAX_ITERATIONS = 1000
 
 
 def _cmd_theta(args) -> int:
+    from . import theta
     m = args.iterations
     if m < 1:
         raise CliError("iterate count must be >= 1")
@@ -85,6 +90,7 @@ def _cmd_theta(args) -> int:
 
 
 def _read_targets(path: str):
+    from . import qexp
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -104,6 +110,7 @@ def _read_targets(path: str):
 
 
 def _cmd_hecke(args) -> int:
+    from . import hecke, qexp
     F = _read_form(args.input)
     hecke._check_operator(F, args.ell, args.power)
     targets = _read_targets(args.targets)
@@ -119,6 +126,7 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_hecke_eigen(args) -> int:
+    from . import hecke
     F = _read_form(args.input)
     lam, report = hecke.eigenvalue(F, args.ell, args.power,
                                    assume_complete=args.assume_complete)
@@ -134,6 +142,7 @@ _CYCLE_MAX_P = 10 ** 6
 
 
 def _cmd_cycle(args) -> int:
+    from . import cycles
     if args.semi_ordinary == args.non_semi_ordinary:
         raise CliError("choose exactly one of --semi-ordinary / "
                        "--non-semi-ordinary")
@@ -152,6 +161,7 @@ def _cmd_cycle(args) -> int:
 
 
 def _cmd_strata_order(args) -> int:
+    from . import strata
     try:
         phi = tuple(int(x) for x in args.phi.split(","))
     except ValueError:
@@ -173,6 +183,7 @@ def _cmd_strata_order(args) -> int:
 
 
 def _cmd_strata_tables(args) -> int:
+    from . import strata
     out = {}
     for phi, rec in strata.eo_tables().items():
         ct = rec.canonical
@@ -187,6 +198,7 @@ def _cmd_strata_tables(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
+    from . import galois
     fp = galois.frob_charpoly(args.lam1, args.lam2, args.chi2, args.ell,
                               (args.k1, args.k2), args.p)
     _emit(fp.to_json())
@@ -194,6 +206,7 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import galois
     plan = galois.reduction_plan((args.k1, args.k2), args.p)
     _emit(plan.to_json())
     return 0
@@ -225,6 +238,7 @@ def _suite_pieri(p: int) -> dict:
 def _suite_theta(p: int) -> dict:
     import random
     from math import isqrt
+    from . import theta
     from .qexp import QExpansion
     from .rep import Weight
     rng = random.Random(p)
@@ -246,6 +260,7 @@ def _suite_theta(p: int) -> dict:
 
 
 def _suite_hecke(p: int) -> dict:
+    from . import hecke
     for ell in (2, 3):
         for k in range(2, 9):
             want = hecke.constant_term_multiplier(ell, k, p)
@@ -257,6 +272,7 @@ def _suite_hecke(p: int) -> dict:
 
 
 def _hecke_constant_term(p: int, ell: int, k: int) -> int:
+    from . import hecke
     from .qexp import QExpansion
     from .rep import Weight
     N = 3 if ell != 3 else 4
@@ -266,6 +282,7 @@ def _hecke_constant_term(p: int, ell: int, k: int) -> int:
 
 
 def _suite_cycles(p: int) -> dict:
+    from . import cycles
     count = 0
     for k in range(2, 2 * p + 2):
         rep = cycles.predict_scalar_cycle(p, k, False)
@@ -281,6 +298,7 @@ def _suite_cycles(p: int) -> dict:
 
 
 def _suite_strata(p: int) -> dict:
+    from . import strata
     orders = {}
     for phi, variant in (((1, 2), None), ((1, 1), 1), ((1, 1), 2),
                          ((0, 1), None)):
@@ -308,6 +326,7 @@ _CHECK_MAX_P = 211
 
 def _check_primes(text: str) -> list:
     """The primes of ``check --p``, each validated before any suite runs."""
+    from .arith import _check_prime
     primes = []
     for item in text.split(","):
         try:

@@ -21,7 +21,10 @@ The planner only does the proofs' arithmetic: step counts, twist exponents
 and the final weight bounds.  It never constructs an eigenform.
 
 Every function takes p by the toolkit's one rule, ``arith._check_prime`` (a
-prime 5 <= p < 3.3e24); any other p raises :class:`GaloisError`.
+prime 5 <= p < 3.3e24); any other p raises :class:`GaloisError`.  An ell
+must be nonzero mod p and, by ``arith._check_ell``, the rule that ``hecke``
+shares, a prime below the same bound; ``frob_charpoly`` and
+:class:`HeckeSystem` raise :class:`GaloisError` for any other ell.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from math import lcm
 
-from .arith import _check_prime
+from .arith import _check_ell, _check_prime
 
 
 class GaloisError(ValueError):
@@ -66,6 +69,7 @@ def frob_charpoly(lam1: int, lam2: int, chi2: int, ell: int,
     _check_prime(p, GaloisError)
     if ell % p == 0:
         raise GaloisError("ell must be nonzero mod p")
+    _check_ell(ell, GaloisError)
     k1, k2 = weight
     w = k1 + k2
     lam1 %= p
@@ -91,6 +95,7 @@ class HeckeSystem:
         for ell in self.data:
             if ell % self.p == 0:
                 raise GaloisError("stored ell values must be coprime to p")
+            _check_ell(ell, GaloisError)
 
     def charpoly(self, ell: int) -> FrobPoly:
         lam1, lam2, chi2 = self.data[ell]

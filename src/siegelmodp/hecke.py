@@ -16,6 +16,9 @@ T' = ell^alpha * (a_U ell^(-beta-gamma), b_U ell^(-gamma), c_U ell^(beta-gamma))
 R(ell^beta) is a set of determinant-1 integer matrices, congruent to the
 identity mod N, whose first rows enumerate P^1(Z/ell^beta).
 
+ell is checked by ``arith._check_ell``, the rule that ``galois`` shares: a
+prime below the bound of the primality test, else :class:`HeckeError`.
+
 The ell-exponents are always taken at the expansion's own weight.  Each
 coefficient enumerates its branches once, with the caller's lift scheme: the
 completeness check reads the indices T' of exactly the branches that the sum
@@ -37,20 +40,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import _PRIME_BOUND, _check_prime, is_prime
+from .arith import _check_ell, _check_prime
 from .qexp import QExpansion, check_index
 from .rep import RepVector, Weight, rep_apply
 
 
 class HeckeError(ValueError):
     pass
-
-
-def _check_ell(ell: int) -> None:
-    """The one rule for ell: a prime below the bound of the primality test."""
-    if not (ell < _PRIME_BOUND and is_prime(ell)):
-        raise HeckeError(f"ell must be a prime below {_PRIME_BOUND}, "
-                         f"got {ell}")
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def p1_representatives(ell: int, beta: int, N: int,
     "random" (randomized lifts, for representative-independence tests).
     It refuses the lifts of a beta whose T(ell^beta) the operators refuse.
     """
-    _check_ell(ell)
+    _check_ell(ell, HeckeError)
     if gcd(ell, N) != 1:
         raise HeckeError("ell must be coprime to the level")
     if scheme not in ("crt", "random"):
@@ -201,7 +197,7 @@ def _branches(ell: int, i: int, T, lifts_by_beta):
 
 def required_indices(ell: int, i: int, T, N: int) -> set:
     """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
-    _check_ell(ell)
+    _check_ell(ell, HeckeError)
     _check_lifts(ell, i)
     lifts = [p1_representatives(ell, beta, N) for beta in range(i + 1)]
     return {T2 for *_, T2 in _branches(ell, i, check_index(T), lifts)}
@@ -222,7 +218,7 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     """Reject T(ell^i) unless i >= 0, ell is a prime coprime to p and the
     level, k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts
     (:func:`_check_lifts`)."""
-    _check_ell(ell)
+    _check_ell(ell, HeckeError)
     if i < 0:
         raise HeckeError(f"power i must be >= 0, got {i}")
     if ell % F.p == 0 or gcd(ell, F.N) != 1:

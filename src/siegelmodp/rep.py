@@ -148,13 +148,19 @@ def _check_degree(n: int, p: int) -> None:
         raise ValueError("split undefined at this degree")
 
 
+def has_pieri_component(n: int, p: int, r: int) -> bool:
+    """Whether component ``x<r>`` of V(n) (x) V(2) exists at 0 <= n <= p-1:
+    x0 needs n <= p-3, x1 needs 1 <= n <= p-3, x2 needs n >= 2."""
+    return not (r > n or (r < 2 and n >= p - 2))
+
+
 def pieri_component(n: int, p: int, cols, r: int,
                     m: int = 0) -> RepVector | None:
     """Component ``x<r>`` (r = 0, 1 or 2) of c0 (x) X^2 + c1 (x) XY + c2 (x) Y^2
     in V(n, m) tensor V(2, 0), given the columns ``cols = (c0, c1, c2)``.
 
     The result lies in V(n+2-2r, m+r).  It is None where the component does
-    not exist: x0 needs n <= p-3, x1 needs 1 <= n <= p-3, x2 needs n >= 2.
+    not exist (:func:`has_pieri_component`).
     """
     _check_degree(n, p)
     if r not in (0, 1, 2):
@@ -162,7 +168,7 @@ def pieri_component(n: int, p: int, cols, r: int,
     if len(cols) != 3 or any(len(c) != n + 1 for c in cols):
         raise ValueError(f"a tensor of V({n}) (x) V(2) has 3 columns of "
                          f"length {n + 1}")
-    if r > n or (r < 2 and n >= p - 2):
+    if not has_pieri_component(n, p, r):
         return None
     c0, c1, c2 = ([0, 0, *c, 0, 0] for c in cols)  # c[i] at position i + 2
     if r == 0:

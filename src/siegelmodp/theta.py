@@ -15,7 +15,7 @@ theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 =============  =====================================
 
 theta_j keeps Pieri component x(3-j) of Sym^n tensor Sym^2, n = k1 - k2,
-and exists exactly where that component does (rep.pieri_component).
+and exists exactly where that component does (rep.has_pieri_component).
 Scalar theta is theta_3 on scalar forms.
 
 Characters are unchanged.  Constant prefactors (2/3 for the big operator,
@@ -27,7 +27,7 @@ closed form; the library does not report it.
 from __future__ import annotations
 
 from .qexp import QExpansion, _derive
-from .rep import RepVector, Weight, pieri_component
+from .rep import RepVector, Weight, has_pieri_component, pieri_component
 # theta does not call pieri_split; the benchmark's tracer tests still look
 # it up as theta.pieri_split
 from .rep import pieri_split  # noqa: F401
@@ -95,8 +95,7 @@ _WEIGHT_SHIFT = {1: (-1, +1), 2: (0, 0), 3: (+1, -1)}
 def _check_domain(n: int, p: int, j: int):
     if j not in (1, 2, 3):
         raise ThetaError("j must be 1, 2 or 3")
-    if n > p - 1 or pieri_component(n, p, [[0] * (n + 1)] * 3,
-                                    3 - j) is None:
+    if n > p - 1 or not has_pieri_component(n, p, 3 - j):
         raise ThetaError(f"theta_{j} is undefined at k1-k2={n}, p={p}: "
                          f"Sym^{n} (x) Sym^2 has no Pieri component "
                          f"x{3 - j} there")

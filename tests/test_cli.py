@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelmodp import hecke, qexp, theta
+from siegelmodp import galois, hecke, qexp, theta
 from siegelmodp.arith import _PRIME_BOUND
 from siegelmodp.cli import run
 from siegelmodp.qexp import QExpansion
@@ -325,6 +325,32 @@ def test_hecke_refuses_an_ell_that_is_not_prime(tmp_path, capsys, ell):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"ell must be a prime below {_PRIME_BOUND}, got {ell}\n"
+
+
+def charpoly_argv(ell):
+    return ["charpoly", "--ell", str(ell), "--lam1", "3", "--lam2", "5",
+            "--chi2", "1", "--k1", "3", "--k2", "3", "--p", "7"]
+
+
+@pytest.mark.parametrize("ell", [-2, 1, 4, 9, 10 ** 29])
+def test_charpoly_refuses_an_ell_that_is_not_prime(capsys, ell):
+    assert run(charpoly_argv(ell)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ell must be a prime below {_PRIME_BOUND}, got {ell}\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(ell=st.integers(-60, 60))
+def test_charpoly_runs_exactly_at_the_primes_other_than_p(ell):
+    is_prime = ell > 1 and all(ell % q for q in range(2, ell))
+    want = 0 if is_prime and ell != 7 else 1
+    assert run(charpoly_argv(ell)) == want
+    if want:
+        with pytest.raises(galois.GaloisError):
+            galois.HeckeSystem(p=7, weight=(3, 3), data={ell: (3, 5, 1)})
+    else:
+        galois.HeckeSystem(p=7, weight=(3, 3), data={ell: (3, 5, 1)})
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -157,6 +158,20 @@ def test_theta_j_coefficient_refuses_a_vec_of_the_wrong_length():
     with pytest.raises(ValueError, match="split undefined"):
         theta_j_coefficient((1,), (1, 0, 1), 10 ** 12, 7, 3, 2)
     assert time.perf_counter() - start < 0.1
+
+
+def test_theta_j_domain_check_allocates_nothing_of_size_n():
+    """theta_j learns whether its component exists without building a
+    tensor of the weight's n + 1 coordinates (here 400,001)."""
+    F = mk(1000003, 3, (400003, 3), {})
+    tracemalloc.start()
+    try:
+        G = theta_j(F, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.support == {} and G.weight == Weight(1400005, 1000007)
+    assert peak < 64 * 1024
 
 
 def pin_form(p, n):
