@@ -9,6 +9,8 @@ Provides:
 - :func:`find_zeta`: a deterministic (p+1)-th root of -1 in F_{p^2}, a power
   of an element whose norm is a non-residue; :func:`all_zetas`: every root,
   as the points of the norm conic.
+- :func:`echelon`: reduced row echelon form over F_p, at any width, with
+  pivot columns; :func:`kernel`: an echelon basis of the orthogonal vectors.
 - :class:`Series1`: sparse univariate truncated series (Laurent exponents
   allowed) over Fp or Fp2, with power-of-Frobenius substitution.
 - :class:`Series3`: sparse trivariate truncated series over F_p with the three
@@ -252,6 +254,43 @@ def all_zetas(p: int):
         roots.setdefault(a * a % p, []).append(a)
     return sorted((a, b) for b in range(p)
                   for a in roots.get((r * b * b - 1) % p, ()))
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over F_p
+# ---------------------------------------------------------------------------
+
+def echelon(rows, p: int):
+    """Reduced row echelon form of ``rows`` over F_p, at any width: the
+    nonzero reduced rows as a tuple of tuples in pivot order, and their pivot
+    columns.  The rows depend only on the span of ``rows``."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        for piv in range(r, len(rows)):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        top = rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and (f := row[col]):
+                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(col)
+    return tuple(map(tuple, rows[:len(pivots)])), tuple(pivots)
+
+
+def kernel(rows, p: int, width: int):
+    """Echelon basis of {x in F_p^width : r . x = 0 for every row r}: per
+    free column f, 1 at f and -row[f] at the pivot of each reduced row."""
+    reduced, pivots = echelon(rows, p)
+    row_at = dict(zip(pivots, reduced))
+    return echelon([[-row_at[c][f] if c in row_at else int(c == f)
+                     for c in range(width)]
+                    for f in range(width) if f not in row_at], p)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -183,12 +183,13 @@ def analyze_cycle(entries, p: int, kind: str,
 
     A low point sits at each position reached by a drop; its low number c
     counts the operator applications since the previous low point (or
-    since the start), its jumping number b measures the drop, and its type
-    comes from the pre-drop weight.  Case congruences are checked for
-    consecutive low-point pairs in this linear order (the wrap-around pair
-    enters the sum identity, not a case pair).  The sum constraints
-    sum(c) = length, sum(b)(p-1) = length * step apply to closed cycles
-    only.
+    since the start; in a closed cycle, since the last low point, so every
+    rotation gets the same c and b).  Its jumping number b measures the
+    drop, and its type comes from the pre-drop weight.  Case congruences
+    are checked for consecutive low-point pairs in this linear order (the
+    wrap-around pair enters the sum identity, not a case pair).  The sum
+    constraints sum(c) = length, sum(b)(p-1) = length * step apply to
+    closed cycles only; with a low point, the first holds by construction.
     """
     _check_prime(p, CycleError)
     entries = tuple(entries)
@@ -222,8 +223,9 @@ def analyze_cycle(entries, p: int, kind: str,
                 f"is neither a +{step} climb nor an integral drop")
         drops.append((j, w_prev, num // (p - 1)))
 
+    closed = start_weight is not None and entries[-1] == start_weight
     low_points = []
-    prev_j = -1
+    prev_j = drops[-1][0] - L if closed and drops else -1
     for (j, w_prev, b) in drops:
         c = j - prev_j
         prev_j = j
@@ -235,7 +237,6 @@ def analyze_cycle(entries, p: int, kind: str,
             typ = 0  # outside both congruence classes; excluded from cases
         low_points.append((j, typ, c, b))
 
-    closed = start_weight is not None and entries[-1] == start_weight
     sum_c = sum(c for *_, c, _b in low_points)
     sum_b = sum(b for *_, b in low_points)
     sums_ok = (not closed) or (sum_c == L and sum_b * (p - 1) == L * step)

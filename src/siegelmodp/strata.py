@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Fp, Fp2, Series1, _check_prime, all_zetas, find_zeta
+from .arith import (Fp, Fp2, Series1, _check_prime, all_zetas, echelon,
+                    find_zeta, kernel)
 
 
 class StrataError(ValueError):
@@ -134,57 +135,17 @@ def eo_tables() -> dict:
 # mod-p linear algebra (for the point-model filtration chase)
 # ---------------------------------------------------------------------------
 
-def _rref(rows, p):
-    """Reduced row echelon form; returns a canonical tuple of row tuples."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    ncols = 4
-    col = 0
-    r = 0
-    while r < m and col < ncols:
-        piv = next((i for i in range(r, m) if rows[i][col] % p), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-    return tuple(sorted((tuple(row) for row in rows[:r]), reverse=True))
-
-
-def _null_space(rows, p):
-    """Basis of {x : row . x = 0 for every row}, as an RREF tuple."""
-    rr = _rref(rows, p)
-    pivots = [next(i for i, x in enumerate(row) if x) for row in rr]
-    free = [i for i in range(4) if i not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [0] * 4
-        vec[fcol] = 1
-        for row, pc in zip(rr, pivots):
-            vec[pc] = (-row[fcol]) % p
-        basis.append(tuple(vec))
-    return _rref(basis, p)
-
-
 def _mat_image(M, space, p):
-    """RREF basis of M(span)."""
-    return _rref([tuple(sum(M[i][j] * s[j] for j in range(4)) % p
-                        for i in range(4)) for s in space], p)
+    """Echelon basis of M(span)."""
+    return echelon([[sum(m * x for m, x in zip(row, v)) for row in M]
+                    for v in space], p)[0]
 
 
 def _mat_preimage(M, space, p):
-    """RREF basis of {x : M x in span}."""
-    # rows a with a . s = 0 for every s in the span (dot-product duality)
-    ann = _null_space(space, p)
-    return _null_space([tuple(sum(a[i] * M[i][j] for i in range(4)) % p
-                              for j in range(4)) for a in ann], p)
+    """Echelon basis of {x : M x in span}: the kernel of ann(span) M."""
+    ann = kernel(space, p, len(M))
+    return kernel([[sum(a * m for a, m in zip(row, col)) for col in zip(*M)]
+                   for row in ann], p, len(M[0]))
 
 
 # point models: 4x4 matrices over F_p at the distinguished point of each
@@ -216,9 +177,8 @@ def canonical_filtration_compute(phi, p: int) -> CanonicalType:
     """
     _check_prime(p, StrataError)
     V, F = _point_model(phi)
-    V = tuple(tuple(x % p for x in row) for row in V)
-    F = tuple(tuple(x % p for x in row) for row in F)
-    full = _rref([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], p)
+    full = echelon([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                   p)[0]
     spaces = {(), full}
     for _ in range(32):
         new = set(spaces)
@@ -234,8 +194,7 @@ def canonical_filtration_compute(phi, p: int) -> CanonicalType:
     chain = sorted(spaces, key=len)
     # the collection must be totally ordered by inclusion
     for small, big in zip(chain, chain[1:]):
-        span = _rref(list(small) + list(big), p)
-        if span != big:
+        if echelon(small + big, p)[0] != big:
             raise StrataError("computed subspaces do not form a chain")
     s = len(chain) - 1
     index = {S: i for i, S in enumerate(chain)}

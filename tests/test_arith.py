@@ -1,3 +1,4 @@
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelmodp.arith import (Fp, Fp2, Series1, Series3, _check_prime,
-                              all_zetas, find_zeta, is_prime)
+                              all_zetas, echelon, find_zeta, is_prime, kernel)
 
 
 def test_is_prime():
@@ -104,6 +105,54 @@ def test_nonresidue_matches_the_squares():
             continue
         squares = {x * x % p for x in range(p)}
         assert Fp2(p).r == min(r for r in range(2, p) if r not in squares), p
+
+
+# ---------------------------------------------------------------------------
+# echelon and kernel, against enumeration over F_5
+# ---------------------------------------------------------------------------
+
+def _span(rows, p, width):
+    """Every F_p-combination of ``rows``, enumerated."""
+    return {tuple(sum(c * row[i] for c, row in zip(cs, rows)) % p
+                  for i in range(width))
+            for cs in product(range(p), repeat=len(rows))}
+
+
+def _check_echelon_and_kernel(rows, p, width):
+    reduced, pivots = echelon(rows, p)
+    assert len(reduced) == len(pivots) and list(pivots) == sorted(set(pivots))
+    for row, pc in zip(reduced, pivots):
+        assert len(row) == width and all(0 <= x < p for x in row)
+        assert not any(row[:pc]) and row[pc] == 1
+        assert [other[pc] for other in reduced].count(0) == len(reduced) - 1
+    span = _span(rows, p, width)
+    assert _span(reduced, p, width) == span
+    # equal spans give equal output: generate the span by all its vectors
+    assert echelon(sorted(span), p)[0] == reduced
+    assert echelon(sorted(span, reverse=True), p)[0] == reduced
+    kern = kernel(rows, p, width)
+    assert echelon(kern, p)[0] == kern
+    assert _span(kern, p, width) == {
+        x for x in product(range(p), repeat=width)
+        if all(sum(a * b for a, b in zip(row, x)) % p == 0 for row in rows)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.tuples(*[st.integers(-7, 12)] * width), max_size=5))))
+def test_echelon_and_kernel_by_enumeration(case):
+    width, rows = case
+    _check_echelon_and_kernel(rows, 5, width)
+
+
+def test_echelon_and_kernel_at_width_six():
+    # the third row is the first plus twice the second, the fifth the
+    # first plus the fourth
+    rows = [(0, 1, 2, 0, 3, 4), (0, 2, 4, 1, 1, -2), (0, 5, -10, 2, 10, 0),
+            (3, 0, 0, 0, 0, -1), (-2, 6, 2, 0, 3, -2)]
+    assert len(echelon(rows, 5)[0]) == 3
+    _check_echelon_and_kernel(rows, 5, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siegelmodp.cycles import (CycleError, analyze_cycle,
                                predict_scalar_cycle, predict_vector_cycle)
@@ -113,3 +115,30 @@ def test_overlap_reporting():
     assert 0 in rep.overlap
     report = rep.to_json()
     assert report["entries"] == list(rep.entries)
+
+
+def _rotations(entries):
+    return [entries[r:] + entries[:r] for r in range(len(entries))]
+
+
+@pytest.mark.parametrize("entries,p", [((12, 18, 12, 18), 5)] + [
+    (rot, 7) for rot in _rotations((22, 30, 38, 46, 18, 14))])
+def test_closed_cycle_counts_from_the_last_low_point(entries, p):
+    res = analyze_cycle(entries, p, "scalar", start_weight=entries[-1])
+    assert res["closed"] and res["ok"], res
+    assert res["sum_c"] == len(entries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((5, 7, 11, 13, 17, 19, 23)), st.integers(2, 68),
+       st.sampled_from(("scalar", "vector")))
+def test_rotations_of_a_closed_cycle_agree(p, k, kind):
+    # the verdict itself may vary: case pairs are read linearly
+    predict = {"scalar": predict_scalar_cycle, "vector": predict_vector_cycle}
+    entries = predict[kind](p, k, False).entries
+    sums = set()
+    for rot in _rotations(entries):
+        res = analyze_cycle(rot, p, kind, start_weight=rot[-1])
+        assert res["closed"]
+        sums.add((res["sum_c"], res["sum_b"], res["sums_ok"]))
+    assert len(sums) == 1, (p, k, kind, sums)

@@ -30,7 +30,7 @@ def test_record_invariants():
         CanonicalType(2, 1, (0, 2, 4), (0, 0, 1), (1, 2, 2), (0, 0), 1)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 211])
 @pytest.mark.parametrize("phi", PHI_VALUES)
 def test_canonical_filtration_oracle(phi, p):
     assert canonical_filtration_compute(phi, p) == eo_tables()[phi].canonical
