@@ -16,7 +16,13 @@ Provides:
 - :class:`Series3`: sparse trivariate truncated series over F_p with the three
   partial derivations.
 
-All values are immutable after construction and safe to share.
+All values are immutable after construction and safe to share.  The public
+series constructors check p and drop zeros and terms past the cutoff.  Series
+arithmetic builds its results by private constructors, ``Series1._like`` and
+``Series3._derived``, which rely on what the operands already hold (keys below
+the cutoff, nonzero values, p checked) and only reduce mod p and drop the
+zeros an operation made.  Where an exact-zero Series1 operand makes an operand
+the result, ``add``, ``mul`` and ``frobenius_substitute`` return it, shared.
 """
 
 from __future__ import annotations
@@ -356,16 +362,28 @@ class Series1:
 
     # -- arithmetic ---------------------------------------------------------
     def _like(self, coeffs, loss=False):
-        return Series1(self.field, self.cutoff, coeffs,
-                       truncation_loss=self.truncation_loss or loss)
+        """Result at this cutoff from ``coeffs`` whose keys are below it."""
+        out = object.__new__(Series1)
+        out.field, out.cutoff = self.field, self.cutoff
+        zero = self.field.zero
+        out.coeffs = {e: c for e, c in coeffs.items() if c != zero}
+        out.truncation_loss = self.truncation_loss or loss
+        return out
 
     def add(self, other):
+        loss = other.truncation_loss
+        if not other.coeffs and (self.truncation_loss or not loss):
+            return self
+        if (not self.coeffs and other.cutoff == self.cutoff
+                and (loss or not self.truncation_loss)):
+            return other
         F = self.field
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = F.add(out.get(e, F.zero), c)
-        return Series1(F, self.cutoff, out,
-                       truncation_loss=self.truncation_loss or other.truncation_loss)
+        if other.cutoff > self.cutoff:
+            return Series1(F, self.cutoff, out, self.truncation_loss or loss)
+        return self._like(out, loss)
 
     def neg(self):
         F = self.field
@@ -379,17 +397,19 @@ class Series1:
         return self._like({e: F.mul(c, v) for e, v in self.coeffs.items()})
 
     def mul(self, other):
-        F = self.field
+        loss = other.truncation_loss
+        if not self.coeffs and (self.truncation_loss or not loss):
+            return self
+        if not (self.coeffs and other.coeffs):
+            return self._like({}, loss)
+        F, K = self.field, self.cutoff
         out = {}
-        loss = self.truncation_loss or other.truncation_loss
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                if e >= self.cutoff:
-                    continue
-                prod = F.mul(c1, c2)
-                out[e] = F.add(out.get(e, F.zero), prod)
-        return Series1(F, self.cutoff, out, truncation_loss=loss)
+                if e < K:
+                    out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
+        return self._like(out, loss)
 
     def shift(self, e0: int):
         """Multiply by t^e0."""
@@ -428,6 +448,8 @@ class Series1:
     # -- semilinear substitution -------------------------------------------
     def frobenius_substitute(self, s: int = 1):
         """t^e -> t^(p^s * e) and coefficients a -> a^(p^s)."""
+        if not self.coeffs:
+            return self
         F = self.field
         q = F.p ** s
         out = {}
@@ -438,8 +460,7 @@ class Series1:
                 loss = True
                 continue
             out[e2] = F.frob(c, s)
-        return Series1(F, self.cutoff, out,
-                       truncation_loss=self.truncation_loss or loss)
+        return self._like(out, loss)
 
     def __repr__(self):
         if not self.coeffs:
@@ -509,45 +530,59 @@ class Series3:
         return hash((self.p, self.cutoff, tuple(sorted(self.coeffs.items()))))
 
     # -- arithmetic ---------------------------------------------------------
+    def _derived(self, coeffs):
+        """Result at this p and cutoff from ``coeffs`` whose keys are below
+        the cutoff: reduce mod p and drop zeros, with no other check."""
+        out, p = object.__new__(Series3), self.p
+        out.p, out.cutoff = p, self.cutoff
+        out.coeffs = {m: r for m, c in coeffs.items() if (r := c % p)}
+        return out
+
     def add(self, other):
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = (out.get(m, 0) + c) % self.p
-        return Series3(self.p, self.cutoff, out)
+            out[m] = out.get(m, 0) + c
+        if other.cutoff > self.cutoff:
+            return Series3(self.p, self.cutoff, out)
+        return self._derived(out)
 
     def neg(self):
-        return Series3(self.p, self.cutoff,
-                       {m: (-c) % self.p for m, c in self.coeffs.items()})
+        return self._derived({m: -c for m, c in self.coeffs.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scal(self, c: int):
-        c %= self.p
-        return Series3(self.p, self.cutoff,
-                       {m: (c * v) % self.p for m, v in self.coeffs.items()})
+        return self._derived({m: c * v for m, v in self.coeffs.items()})
 
     def mul(self, other):
+        """Product below the cutoff: a term of degree d meets only the
+        other factor's terms of degree below cutoff - d."""
+        by_degree = {}
+        for m, c in other.coeffs.items():
+            by_degree.setdefault(sum(m), []).append((m, c))
+        levels = sorted(by_degree.items())
         out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                if sum(m) >= self.cutoff:
-                    continue
-                out[m] = (out.get(m, 0) + c1 * c2) % self.p
-        return Series3(self.p, self.cutoff, out)
+        for (a1, b1, c1), v1 in self.coeffs.items():
+            room = self.cutoff - a1 - b1 - c1
+            for d, terms in levels:
+                if d >= room:
+                    break
+                for (a2, b2, c2), v2 in terms:
+                    m = (a1 + a2, b1 + b2, c1 + c2)
+                    out[m] = out.get(m, 0) + v1 * v2
+        return self._derived(out)
 
     def derivation(self, name: str):
         """Partial derivative with respect to t11, t12 or t22."""
         idx = self.VARS.index(name)
         out = {}
         for m, c in self.coeffs.items():
-            if m[idx] == 0:
-                continue
-            m2 = list(m)
-            m2[idx] -= 1
-            out[tuple(m2)] = (out.get(tuple(m2), 0) + c * m[idx]) % self.p
-        return Series3(self.p, self.cutoff, out)
+            if m[idx]:
+                m2 = list(m)
+                m2[idx] -= 1
+                out[tuple(m2)] = c * m[idx]
+        return self._derived(out)
 
     def truncate_below(self, degree: int):
         """Keep only the terms of total degree < degree."""

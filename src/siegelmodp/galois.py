@@ -24,7 +24,8 @@ Every function takes p by the toolkit's one rule, ``arith._check_prime`` (a
 prime 5 <= p < 3.3e24); any other p raises :class:`GaloisError`.  An ell
 must be nonzero mod p and, by ``arith._check_ell``, the rule that ``hecke``
 shares, a prime below the same bound; ``frob_charpoly`` and
-:class:`HeckeSystem` raise :class:`GaloisError` for any other ell.
+:class:`HeckeSystem` raise :class:`GaloisError` for any other ell.  A value
+chi2(ell) is a root of unity, so both refuse one that is 0 mod p.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class FrobPoly:
                 "coeffs": list(self.coeffs), "nu": self.nu}
 
 
+def _check_chi2(chi2: int, p: int) -> None:
+    if chi2 % p == 0:
+        raise GaloisError(f"chi2 must be a unit mod p, got {chi2}")
+
+
 def frob_charpoly(lam1: int, lam2: int, chi2: int, ell: int,
                   weight, p: int) -> FrobPoly:
     """The degree-4 Frobenius polynomial mod p (see module docstring)."""
@@ -70,6 +76,7 @@ def frob_charpoly(lam1: int, lam2: int, chi2: int, ell: int,
     if ell % p == 0:
         raise GaloisError("ell must be nonzero mod p")
     _check_ell(ell, GaloisError)
+    _check_chi2(chi2, p)
     k1, k2 = weight
     w = k1 + k2
     lam1 %= p
@@ -96,6 +103,7 @@ class HeckeSystem:
             if ell % self.p == 0:
                 raise GaloisError("stored ell values must be coprime to p")
             _check_ell(ell, GaloisError)
+            _check_chi2(self.data[ell][2], self.p)
 
     def charpoly(self, ell: int) -> FrobPoly:
         lam1, lam2, chi2 = self.data[ell]

@@ -1,0 +1,152 @@
+"""Reference truncated series arithmetic, for differential tests of ``arith``.
+
+Every operation here forms every pair of terms, drops what falls at or past
+the cutoff term by term, and builds its result through the public, checking
+constructor of :class:`Series1` or :class:`Series3`.  ``arith`` derives its
+results without that check, visits only the degrees that can reach the
+result and returns at once on an exact-zero operand; the two must agree on
+the cutoff, the coefficients and the truncation-loss flag of every result.
+
+The functions take the operands of the method of the same name, ``self``
+first.
+"""
+
+from siegelmodp.arith import Series1, Series3
+
+
+# ---------------------------------------------------------------------------
+# Series1
+# ---------------------------------------------------------------------------
+
+def _like1(f, coeffs, loss=False):
+    return Series1(f.field, f.cutoff, coeffs,
+                   truncation_loss=f.truncation_loss or loss)
+
+
+def add1(f, g):
+    F = f.field
+    out = dict(f.coeffs)
+    for e, c in g.coeffs.items():
+        out[e] = F.add(out.get(e, F.zero), c)
+    return Series1(F, f.cutoff, out,
+                   truncation_loss=f.truncation_loss or g.truncation_loss)
+
+
+def neg1(f):
+    F = f.field
+    return _like1(f, {e: F.neg(c) for e, c in f.coeffs.items()})
+
+
+def sub1(f, g):
+    return add1(f, neg1(g))
+
+
+def scal1(f, c):
+    F = f.field
+    return _like1(f, {e: F.mul(c, v) for e, v in f.coeffs.items()})
+
+
+def mul1(f, g):
+    F = f.field
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            if e >= f.cutoff:
+                continue
+            out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
+    return Series1(F, f.cutoff, out,
+                   truncation_loss=f.truncation_loss or g.truncation_loss)
+
+
+def shift1(f, e0):
+    return _like1(f, {e + e0: c for e, c in f.coeffs.items()
+                      if e + e0 < f.cutoff})
+
+
+def frobenius_substitute1(f, s=1):
+    F = f.field
+    q = F.p ** s
+    out = {}
+    loss = False
+    for e, c in f.coeffs.items():
+        if e * q >= f.cutoff:
+            loss = True
+            continue
+        out[e * q] = F.frob(c, s)
+    return Series1(F, f.cutoff, out,
+                   truncation_loss=f.truncation_loss or loss)
+
+
+def inverse1(f):
+    """The geometric series of ``Series1.inverse``, on the ops above."""
+    F, K = f.field, f.cutoff
+    e0 = f.order()
+    c0inv = F.inv(f.coeffs[e0])
+    ng = neg1(sub1(scal1(shift1(f, -e0), c0inv), Series1.const(F, K, F.one)))
+    acc = term = Series1.const(F, K, F.one)
+    while True:
+        term = mul1(term, ng)
+        if term.is_zero():
+            break
+        acc = add1(acc, term)
+    return shift1(scal1(acc, c0inv), -e0)
+
+
+# ---------------------------------------------------------------------------
+# Series3
+# ---------------------------------------------------------------------------
+
+def add3(f, g):
+    out = dict(f.coeffs)
+    for m, c in g.coeffs.items():
+        out[m] = (out.get(m, 0) + c) % f.p
+    return Series3(f.p, f.cutoff, out)
+
+
+def neg3(f):
+    return Series3(f.p, f.cutoff, {m: (-c) % f.p for m, c in f.coeffs.items()})
+
+
+def sub3(f, g):
+    return add3(f, neg3(g))
+
+
+def scal3(f, c):
+    return Series3(f.p, f.cutoff,
+                   {m: (c * v) % f.p for m, v in f.coeffs.items()})
+
+
+def mul3(f, g):
+    out = {}
+    for m1, c1 in f.coeffs.items():
+        for m2, c2 in g.coeffs.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            if sum(m) >= f.cutoff:
+                continue
+            out[m] = (out.get(m, 0) + c1 * c2) % f.p
+    return Series3(f.p, f.cutoff, out)
+
+
+def derivation3(f, name):
+    idx = Series3.VARS.index(name)
+    out = {}
+    for m, c in f.coeffs.items():
+        if m[idx]:
+            m2 = tuple(x - (i == idx) for i, x in enumerate(m))
+            out[m2] = (out.get(m2, 0) + c * m[idx]) % f.p
+    return Series3(f.p, f.cutoff, out)
+
+
+def inverse3(f):
+    """The geometric series of ``Series3.inverse``, on the ops above."""
+    p, K = f.p, f.cutoff
+    c0inv = pow(f.constant_term(), p - 2, p)
+    ng = neg3(sub3(scal3(f, c0inv), Series3.const(p, K, 1)))
+    acc = term = Series3.const(p, K, 1)
+    for _ in range(K + 1):
+        term = mul3(term, ng)
+        if term.is_zero():
+            break
+        acc = add3(acc, term)
+    return scal3(acc, c0inv)

@@ -340,6 +340,18 @@ def test_charpoly_refuses_an_ell_that_is_not_prime(capsys, ell):
     assert err == f"ell must be a prime below {_PRIME_BOUND}, got {ell}\n"
 
 
+@pytest.mark.parametrize("chi2", ["0", "5", "-5"])
+def test_charpoly_refuses_a_chi2_that_is_not_a_unit(capsys, chi2):
+    """chi2(ell) is a root of unity, never 0 mod p."""
+    assert run(["charpoly", "--ell", "2", "--lam1", "1", "--lam2", "1",
+                "--chi2", chi2, "--k1", "3", "--k2", "3", "--p", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"chi2 must be a unit mod p, got {chi2}\n"
+    with pytest.raises(galois.GaloisError, match="chi2 must be a unit"):
+        galois.HeckeSystem(p=5, weight=(3, 3), data={2: (1, 1, int(chi2))})
+
+
 @settings(max_examples=80, deadline=None)
 @given(ell=st.integers(-60, 60))
 def test_charpoly_runs_exactly_at_the_primes_other_than_p(ell):

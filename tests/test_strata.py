@@ -1,8 +1,13 @@
+import hashlib
+import random
+from itertools import product
+
 import pytest
 
 from siegelmodp.arith import Series1, all_zetas
-from siegelmodp.strata import (PHI_VALUES, CanonicalType, ChaseError,
-                               ElementarySequence, FinalSequence, StrataError,
+from siegelmodp.strata import (_DEFAULT_CUTOFF, PHI_VALUES, CanonicalType,
+                               ChaseError, ElementarySequence, FinalSequence,
+                               StrataError, _mat_image, _mat_preimage,
                                canonical_filtration_compute, chase, eo_tables,
                                model_0_1, model_1_1, partial_hasse_order,
                                partial_hasse_report, point_model_products_vanish,
@@ -122,3 +127,57 @@ def test_report_and_errors():
         partial_hasse_order((1, 1), 5)
     with pytest.raises(StrataError, match="zeta"):
         model_0_1(5, 50, zeta=(1, 0))
+
+
+def _chase_outcome(phi, p, variant, K):
+    """The order, or the refusal with the error it was raised from."""
+    try:
+        return str(partial_hasse_order(phi, p, variant=variant, K=K))
+    except StrataError as e:
+        out = f"{type(e).__name__}:{e}"
+        if e.__context__ is not None:
+            out += f" <- {type(e.__context__).__name__}:{e.__context__}"
+        return out
+
+
+def test_chases_at_every_small_cutoff():
+    """Every cutoff below 80 and the 60 below the default (plus 3), pinned
+    by digest: 46 orders, 212 refusals of the multiplier (zero or past the
+    cutoff) and 232 chases that left the line, 490 cases in all."""
+    cases = []
+    for p in (5, 7):
+        for phi, variant in (((1, 1), 1), ((1, 1), 2), ((0, 1), None)):
+            top = _DEFAULT_CUTOFF[phi](p) + 3
+            for K in sorted(set(range(1, min(top, 80)))
+                            | set(range(max(80, top - 60), top))):
+                cases.append(f"{p} {phi} {variant} {K} "
+                             + _chase_outcome(phi, p, variant, K))
+    assert len(cases) == 490
+    assert hashlib.sha256("\n".join(cases).encode()).hexdigest() == (
+        "9927a85703c3a065275dd46d1c090aee633bd6948b66b600e7096b4b22cb7f9d")
+
+
+def _span(rows, p):
+    """Every F_p-combination of ``rows`` (vectors of length 4)."""
+    return {tuple(sum(c * row[i] for c, row in zip(cs, rows)) % p
+                  for i in range(4))
+            for cs in product(range(p), repeat=len(rows))}
+
+
+def test_subspace_helpers_by_enumeration():
+    """At p = 5, over all of F_5^4: the preimage helper spans exactly
+    {x : Mx in span S} and the image helper spans M(span S)."""
+    p = 5
+    rng = random.Random(5)
+    space = list(product(range(p), repeat=4))
+    for _ in range(40):
+        M = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+        S = [tuple(rng.randrange(p) for _ in range(4))
+             for _ in range(rng.randrange(5))]
+        span = _span(S, p)
+
+        def apply(x):
+            return tuple(sum(m * v for m, v in zip(row, x)) % p for row in M)
+        assert _span(_mat_preimage(M, S, p), p) == {
+            x for x in space if apply(x) in span}
+        assert _span(_mat_image(M, S, p), p) == {apply(v) for v in span}
