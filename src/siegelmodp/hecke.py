@@ -25,12 +25,14 @@ completeness check reads the indices T' of exactly the branches that the sum
 uses, so an absent input is an error, never a silent zero.
 
 The parts of the sum that do not depend on F or T are built once per
-operator and kept in a small LRU cache keyed by (ell, i, N, n, p, scheme,
-seed): for each beta <= i, the lifts R(ell^beta) as a tuple of frozen
-:class:`P1Rep`, and for each lift the matrix of
-ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of rows.
-The cache holds only immutable values, and ``p1_representatives`` still
-returns a fresh list to its callers.
+operator and kept in two small LRU caches.  The lift table of (ell, i, N,
+scheme, seed) holds, for each lift U of R(ell^beta), beta <= i, the nine
+products that make U T tU linear in T and the powers of ell of the gamma
+filter and of T'; one enumerator reads it for the sum and for
+``required_indices``.  The plan, keyed by n and p as well, holds each lift's
+ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of columns.
+``eigenvalue`` sets its operator up once for all the indices.  The caches
+hold only immutable values; ``p1_representatives`` returns a fresh list.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .arith import _check_ell, _check_prime
 from .qexp import QExpansion, check_index
@@ -172,35 +175,60 @@ def index_transform(U, T):
     return a_U, b_U, c_U
 
 
-def _branches(ell: int, i: int, T, lifts_by_beta):
-    """Yield (beta, gamma, k, T') over all contributing branches.
+# Lift tables and plans of the operators in use.  A plan takes about 2 kB
+# for a scalar T(2), 32 kB at ell = 3, i = 2, n = 10 and 160 kB at n = 30; a
+# lift table holds at most _MAX_LIFTS small tuples.
+_PLAN_CACHE_SIZE = 32
 
-    ``k`` indexes the lift U in ``lifts_by_beta[beta]``.  U T tU is computed
-    once per (beta, U); the gamma filters are nested, so the first failing
-    gamma ends the loop.
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _lifts(ell: int, i: int, N: int, scheme: str, seed: int) -> tuple:
+    """The lift table of T(ell^i): one entry (beta, U, products, steps) per
+    lift U = ((u1, u2), (x, y)) of P^1(Z/ell^beta), beta <= i, in order.
+
+    ``products`` are u1^2, u1 u2, u2^2, x^2, x y, y^2, 2 u1 x, u1 y + u2 x
+    and 2 u2 y, the coefficients of a, b, c in a_U, c_U and b_U.
+    ``steps[gamma]`` is (ell^(beta+gamma), ell^gamma, ell^alpha,
+    ell^(alpha+beta)) with alpha = i - beta - gamma: the divisors of the
+    gamma filter and the factors of T'.
     """
     power = [ell ** j for j in range(i + 1)]
+    table = []
     for beta in range(i + 1):
-        lb = power[beta]
-        for k, rep in enumerate(lifts_by_beta[beta]):
-            a_U, b_U, c_U = index_transform(rep.matrix, T)
-            for gamma in range(i - beta + 1):
-                lg = power[gamma]
-                lbg = lb * lg
-                if a_U % lbg or b_U % lg or c_U % lg:
-                    break
-                la = power[i - beta - gamma]
-                yield beta, gamma, k, (la * (a_U // lbg),
-                                       la * (b_U // lg),
-                                       la * (c_U // lg) * lb)
+        steps = tuple((power[beta + g], power[g], power[i - beta - g],
+                       power[i - g]) for g in range(i - beta + 1))
+        for rep in p1_representatives(ell, beta, N, scheme=scheme, seed=seed):
+            (u1, u2), (x, y) = U = rep.matrix
+            table.append((beta, U, (u1 * u1, u1 * u2, u2 * u2, x * x, x * y,
+                                    y * y, 2 * u1 * x, u1 * y + u2 * x,
+                                    2 * u2 * y), steps))
+    return tuple(table)
+
+
+def _branches(lifts: tuple, T):
+    """Yield (k, beta, gamma, T') over the branches of T that pass the
+    divisibility filter; ``k`` indexes the lift in the table ``lifts``.
+    The gamma filters are nested, so the first failing gamma ends the loop.
+    """
+    a, b, c = T
+    for k, (beta, _, (aa, ab, ac, ca, cb, cc, ba, bb, bc),
+            steps) in enumerate(lifts):
+        a_U = a * aa + b * ab + c * ac
+        b_U = a * ba + b * bb + c * bc
+        c_U = a * ca + b * cb + c * cc
+        for gamma, (lbg, lg, la, lab) in enumerate(steps):
+            if a_U % lbg or b_U % lg or c_U % lg:
+                break
+            yield k, beta, gamma, (la * (a_U // lbg), la * (b_U // lg),
+                                   lab * (c_U // lg))
 
 
 def required_indices(ell: int, i: int, T, N: int) -> set:
     """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
     _check_ell(ell, HeckeError)
     _check_lifts(ell, i)
-    lifts = [p1_representatives(ell, beta, N) for beta in range(i + 1)]
-    return {T2 for *_, T2 in _branches(ell, i, check_index(T), lifts)}
+    return {T2 for *_, T2 in _branches(_lifts(ell, i, N, "crt", 0),
+                                       check_index(T))}
 
 
 # ---------------------------------------------------------------------------
@@ -229,41 +257,67 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     _check_lifts(ell, i)
 
 
-# Plans of the operators in use.  One takes about 2 kB for a scalar T(2),
-# 32 kB at ell = 3, i = 2, n = 10 and 160 kB at n = 30.
-_PLAN_CACHE_SIZE = 32
-
-
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(ell: int, i: int, N: int, n: int, p: int, scheme: str,
           seed: int) -> tuple:
-    """(lifts, matrices), each a tuple indexed by beta <= i.
-
-    ``lifts[beta]`` are the lifts of P^1(Z/ell^beta).  The matrix of a lift
-    U is ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p, as rows: row t
-    is the image of the basis vector u_t.
+    """For each lift U of :func:`_lifts`, in its order, the matrix
+    ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of
+    columns: entry t of column s is coordinate s of the image of u_t.
     """
     linv = pow(ell % p, p - 2, p)
     weight = Weight(n, 0)
     basis = [RepVector(n, 0, tuple(int(s == t) for s in range(n + 1)))
              for t in range(n + 1)]
-    lifts_by_beta, matrices_by_beta = [], []
-    for beta in range(i + 1):
-        lifts = tuple(p1_representatives(ell, beta, N, scheme=scheme,
-                                         seed=seed))
+    plan = []
+    for beta, ((u1, u2), (x, y)), _, _ in _lifts(ell, i, N, scheme, seed):
+        # rho_n((diag(1, ell^beta) U)^(-1)) = ell^(-n beta) Sym^n(adj D)
         lb = ell ** beta
+        adj = ((lb * y, -u2), (-lb * x, u1))
         scale = pow(linv, n * beta, p)
-        matrices = []
-        for rep in lifts:
-            # rho_n((diag(1, ell^beta) U)^(-1)) = ell^(-n beta) Sym^n(adj D)
-            (u1, u2), (x, y) = rep.matrix
-            adj = ((lb * y, -u2), (-lb * x, u1))
-            matrices.append(tuple(
-                tuple(scale * c % p for c in rep_apply(weight, adj, e, p).coords)
-                for e in basis))
-        lifts_by_beta.append(lifts)
-        matrices_by_beta.append(tuple(matrices))
-    return tuple(lifts_by_beta), tuple(matrices_by_beta)
+        images = [rep_apply(weight, adj, e, p).coords for e in basis]
+        plan.append(tuple(tuple(scale * c % p for c in col)
+                          for col in zip(*images)))
+    return tuple(plan)
+
+
+def _operator(F: QExpansion, ell: int, i: int, scheme: str,
+              seed: int) -> tuple:
+    """(F, lift table, plan, mult): what T(ell^i) reads at every index of F,
+    with mult[beta][gamma] = chi1(ell^beta) chi2(ell^gamma)
+    * ell^(beta(k1-2) + gamma(k1+k2-3)) mod p."""
+    p, N, n = F.p, F.N, F.weight.n
+    k1, k2 = F.weight.k1, F.weight.k2
+    e1, e2 = pow(ell % p, k1 - 2, p), pow(ell % p, k1 + k2 - 3, p)
+    f1 = [F.chi1_at(ell ** j) * pow(e1, j, p) for j in range(i + 1)]
+    f2 = [F.chi2_at(ell ** j) * pow(e2, j, p) for j in range(i + 1)]
+    mult = [[x * y % p for y in f2] for x in f1]
+    return (F, _lifts(ell, i, N, scheme, seed),
+            _plan(ell, i, N, n, p, scheme, seed), mult)
+
+
+def _coefficient(op: tuple, T: tuple, assume_complete: bool) -> tuple:
+    """(missing, coefficient) at the checked index T of the operator ``op``.
+
+    Unless ``assume_complete`` is set, ``missing`` is the set of indices the
+    branches read outside F's support, and the coefficient is None if it is
+    not empty; with it set, absent inputs count as zero.
+    """
+    F, lifts, plan, mult = op
+    p, n, support = F.p, F.weight.n, F.support
+    branches = list(_branches(lifts, T))
+    if not assume_complete:
+        missing = {T2 for *_, T2 in branches}.difference(support)
+        if missing:
+            return missing, None
+    out = [0] * (n + 1)
+    for k, beta, gamma, T2 in branches:
+        vec = support.get(T2)
+        m = mult[beta][gamma]
+        if vec is None or m == 0:
+            continue
+        for s, col in enumerate(plan[k]):
+            out[s] += m * sum(map(mul, vec, col))
+    return None, RepVector(n, F.weight.k2, tuple([o % p for o in out]))
 
 
 def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
@@ -271,44 +325,19 @@ def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
                       scheme: str = "crt", seed: int = 0) -> RepVector:
     """Coefficient of T(ell^i)F at index T.
 
-    The lifts of P^1(Z/ell^beta) come from the cached plan of
-    (ell, i, N, n, p, ``scheme``, ``seed``) and their branches are
-    enumerated once.  Unless ``assume_complete`` is set, every index T'
-    those branches read must be in F's support, otherwise
-    :class:`HeckeError` names the missing ones; with it set, absent inputs
-    count as zero.
+    The lifts of P^1(Z/ell^beta) come from the cached lift table of
+    (ell, i, N, ``scheme``, ``seed``) and their branches are enumerated
+    once.  Unless ``assume_complete`` is set, every index T' those branches
+    read must be in F's support, otherwise :class:`HeckeError` names the
+    missing ones; with it set, absent inputs count as zero.
     """
     T = check_index(T)
     _check_operator(F, ell, i)
-    p = F.p
-    k1, k2 = F.weight.k1, F.weight.k2
-    n = F.weight.n
-    lifts, matrices = _plan(ell, i, F.N, n, p, scheme, seed)
-    # mult[beta][gamma] = chi1(ell^beta) chi2(ell^gamma)
-    #                      * ell^(beta(k1-2) + gamma(k1+k2-3))
-    e1, e2 = pow(ell % p, k1 - 2, p), pow(ell % p, k1 + k2 - 3, p)
-    f1 = [F.chi1_at(ell ** j) * pow(e1, j, p) for j in range(i + 1)]
-    f2 = [F.chi2_at(ell ** j) * pow(e2, j, p) for j in range(i + 1)]
-    mult = [[x * y % p for y in f2] for x in f1]
-
-    branches = list(_branches(ell, i, T, lifts))
-    support = F.support
-    if not assume_complete:
-        missing = sorted({T2 for *_, T2 in branches}.difference(support))
-        if missing:
-            raise HeckeError(f"missing required indices: {missing}")
-
-    out = [0] * (n + 1)
-    for beta, gamma, k, T2 in branches:
-        coeff_vec = support.get(T2)
-        m = mult[beta][gamma]
-        if coeff_vec is None or m == 0:
-            continue
-        for c, row in zip(coeff_vec, matrices[beta][k]):
-            if c:
-                c *= m
-                out = [o + c * r for o, r in zip(out, row)]
-    return RepVector(n, k2, tuple(o % p for o in out))
+    missing, img = _coefficient(_operator(F, ell, i, scheme, seed), T,
+                                assume_complete)
+    if missing:
+        raise HeckeError(f"missing required indices: {sorted(missing)}")
+    return img
 
 
 def eigenvalue(F: QExpansion, ell: int, i: int,
@@ -317,18 +346,18 @@ def eigenvalue(F: QExpansion, ell: int, i: int,
 
     Returns ``(lam, report)`` where report is a list of
     ``(T, matches: bool)`` over every supported index with computable
-    Hecke coefficient.
+    Hecke coefficient.  The operator is set up once for all the indices.
     """
     _check_operator(F, ell, i)
     if not F.support:
         raise HeckeError("zero expansion has no eigenvalue")
+    op = _operator(F, ell, i, "crt", 0)
     p = F.p
     lam = None
     report = []
     for T in sorted(F.support):
-        try:
-            img = hecke_coefficient(F, ell, i, T, assume_complete=assume_complete)
-        except HeckeError:
+        missing, img = _coefficient(op, T, assume_complete)
+        if missing:
             continue
         vec = F.support[T]
         lead = next((t for t, c in enumerate(vec) if c % p), None)

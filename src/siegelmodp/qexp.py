@@ -43,10 +43,19 @@ class QExpError(ValueError):
 
 
 def check_index(T) -> tuple:
+    """T as a triple of ints.  Each entry must equal its int() (2.0 passes
+    as 2) and [[a, b/2], [b/2, c]] must be semi-positive."""
     a, b, c = T
+    try:
+        index = (int(a), int(b), int(c))
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index != (a, b, c):
+        raise QExpError(f"index {T} has a non-integer entry")
+    a, b, c = index
     if a < 0 or c < 0 or 4 * a * c - b * b < 0:
         raise QExpError(f"index {T} violates semi-positivity")
-    return (int(a), int(b), int(c))
+    return index
 
 
 @dataclass(frozen=True)
@@ -64,15 +73,15 @@ class QExpansion:
             raise QExpError("level N must be >= 3")
         if gcd(self.N, self.p) != 1:
             raise QExpError("level must be coprime to p")
-        n = self.weight.n
+        p, width = self.p, self.weight.n + 1
         clean = {}
         try:  # a refused entry or table is the error's key
             for key, vec in self.support.items():
-                vec = tuple(v % self.p for v in vec)
+                vec = tuple([v % p for v in vec])
                 T = check_index(key)
-                if len(vec) != n + 1:
+                if len(vec) != width:
                     raise QExpError(f"coefficient at {T} has length "
-                                    f"{len(vec)}, expected {n + 1}")
+                                    f"{len(vec)}, expected {width}")
                 if any(vec):
                     clean[T] = vec
             object.__setattr__(self, "support", clean)
@@ -83,7 +92,7 @@ class QExpansion:
                         raise QExpError(f"{key} table must have N={self.N} "
                                         f"entries")
                     object.__setattr__(self, key,
-                                       tuple(v % self.p for v in tab))
+                                       tuple(v % p for v in tab))
         except QExpError as err:
             err.key = key
             raise
@@ -147,7 +156,7 @@ def parse(text: str) -> QExpansion:
                 if len(parts) != 4:
                     raise QExpError("malformed coeff index")
                 T = (int(parts[1]), int(parts[2]), int(parts[3]))
-                vec = tuple(int(v) for v in tail.split())
+                vec = tuple(map(int, tail.split()))
                 if T in support:
                     raise QExpError(f"duplicate index {T}")
                 support[T] = vec

@@ -6,6 +6,8 @@ coefficient of each branch, then scales by ell^(-n beta) and the character
 and ell-power multiplier of its (beta, gamma).  This is the sum that
 ``hecke_coefficient`` computed before its lifts and Sym^n matrices were
 cached, kept here to pin the cached path to the same numbers.
+:func:`eigenvalue` reads each index through that sum, as ``hecke.eigenvalue``
+did before it set its operator up once per call.
 """
 
 from siegelmodp.hecke import (HeckeError, _check_operator, index_transform,
@@ -68,3 +70,30 @@ def hecke_coefficient(F, ell, i, T, assume_complete=False, scheme="crt",
         for t, cv in enumerate(v.coords):
             out[t] = (out[t] + scale * cv) % p
     return RepVector(n, k2, tuple(out))
+
+
+def eigenvalue(F, ell, i, assume_complete=False):
+    """Eigenvalue of T(ell^i) on F and its per-index report, from one
+    :func:`hecke_coefficient` call per supported index."""
+    _check_operator(F, ell, i)
+    if not F.support:
+        raise HeckeError("zero expansion has no eigenvalue")
+    p = F.p
+    lam = None
+    report = []
+    for T in sorted(F.support):
+        try:
+            img = hecke_coefficient(F, ell, i, T,
+                                    assume_complete=assume_complete)
+        except HeckeError:
+            continue
+        vec = F.support[T]
+        lead = next((t for t, c in enumerate(vec) if c % p), None)
+        if lam is None and lead is not None:
+            lam = img.coords[lead] * pow(vec[lead], p - 2, p) % p
+        matches = all((img.coords[t] - (lam or 0) * vec[t]) % p == 0
+                      for t in range(len(vec)))
+        report.append((T, matches))
+    if lam is None:
+        raise HeckeError("no checkable index")
+    return lam, report

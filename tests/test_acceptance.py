@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import hecke_oracle
 from pieri_oracle import tensor_action
 from siegelmodp import cycles, galois, hecke, localdef, qexp, strata, theta
 from siegelmodp.arith import Series3, is_prime
@@ -95,7 +96,7 @@ def _class_function_form(p, N, ell, i, T, rng, seeds):
         reps = {b: hecke.p1_representatives(ell, b, N, scheme=scheme,
                                             seed=seed)
                 for b in range(i + 1)}
-        needed |= {T2 for *_, T2 in hecke._branches(ell, i, T, reps)}
+        needed |= {T2 for *_, T2 in hecke_oracle.branches(ell, i, T, reps)}
     support = {}
     for T2 in needed:
         key = hecke.gauss_reduce(T2)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -190,6 +191,89 @@ def test_check_all_output_is_pinned(capsys):
         "6ba4c1d378f97566009dc7b7752661420d21099c679be9db3989354b589758e3"
 
 
+# (p, weight, chi1, chi2) at level 5: the quadratic character mod 5 twice,
+# and a vector form with n = 10 and trivial characters.
+HECKE_PIN_FORMS = {"scalar": (11, (6, 6), (0, 1, 10, 10, 1),
+                              (0, 1, 10, 10, 1)),
+                   "vector": (31, (14, 4), None, None)}
+
+# sha256 of `hecke eigen` stdout, then of `hecke eigen --assume-complete`
+# stdout, then of the `hecke --targets --assume-complete` output file
+HECKE_CLI_PINS = {
+    ("scalar", 2, 1): (
+        "25e9650f3dfba938cfa424cf411637cc665f92b22e2cdf01a0c5b1a268796461",
+        "4e295e75bc6a94a49b322fece115193d2a653a2af531b29a0044f0852eb77445",
+        "bcd834dddda4e56f4cfc1232c9e9c9e742e4c690dd25670c40dcca89dd846212"),
+    ("scalar", 2, 2): (
+        "1695df6587fe975e121c3b0c2a74e7786fac8f1d18e9543f24a61f97b46d2fee",
+        "584ce098fa9806db12d09372f06644b1778ff6d2b8e57e3b8df425d89c6dba75",
+        "1e581aac019a281939d1be5502907c577e9edca89b63945baf6b8883c8e9dfec"),
+    ("scalar", 3, 1): (
+        "7e6380b58d0887a0befcb9221e9a78a726fb54990f254bd427fb85feb4273719",
+        "430cc5f571a1e9340f0e9d42838a65a91e3bff32357ccd41a5f1424f94bee7a3",
+        "198419e8ce6193f38a41a7f7053ec576bc512f2f283f57fa626fa05880d53f7a"),
+    ("scalar", 3, 2): (
+        "eb5ac47d5e5954e9b3c713788f7d9a690999a654411981fd6312625f4a753aa6",
+        "4decc60d3a02ed871eea3c477eb418f868e2eff78733e8890a0fb17d0d8c3ae2",
+        "d0cfbc85abd82aceffcb17b8302d2da0c857987b35d7d664716f1dc8635fb26d"),
+    ("vector", 2, 1): (
+        "180bbf49eb31331f827784ced9e5a2ade65834e5064ecd2a4f39fa0e43319c82",
+        "c9a726d2700381dd97f56b73c37441cfa84b468a37a2e053721b550f229bcdde",
+        "11849ff6332f6380fb025c13b0308e0ef2d837706630a49bb1098a89798b709c"),
+    ("vector", 2, 2): (
+        "0cd5edecce4ca87209f7859c8e5def13869fa67fb7013e6ea3af813b58f343e4",
+        "48b8ff4c372f711cb80876129e3d93163032898f3b4e3af2cfb64bcc34bc66f2",
+        "2f5fa97b50045e80e88aa3ce4fab019726c2ab4644e36502015d48e95abe106b"),
+    ("vector", 3, 1): (
+        "9fc6c1e15b438d051eefbffc7802aebdc0a4f86b117d8b96a8d9dbc9bea29e40",
+        "268d9291a66d7a127aff90f434c196ec5e2b4b2feec606d580771c62bb230909",
+        "dc3fd9deddc4b081992dc82204237189e35fb04ee19b5ba3d1e8a48e7d65a6f2"),
+    ("vector", 3, 2): (
+        "8f167ce5d9b5107952cfa5c1d28926194433d9c6652f08b3655ff94e30a1c31d",
+        "56c0b9275899e6df0994e49dc95b05642ddd2c6d1405bccce8c8df05fd9dc753",
+        "2c35325bef44fc62d3787bca49eb99a9952cce2986816af00ea9430aae631793"),
+}
+
+
+def hecke_pin_form(kind, ell, i):
+    """A seeded form holding nine in ten of the inputs its targets read."""
+    p, weight, chi1, chi2 = HECKE_PIN_FORMS[kind]
+    rng = random.Random(100 * ell + 10 * i + (kind == "vector"))
+    targets = [(a, b, c) for a in range(3) for c in range(3)
+               for b in range(-2, 3) if b * b <= 4 * a * c]
+    needed = set().union(*(hecke.required_indices(ell, i, T, 5)
+                           for T in targets))
+    n = weight[0] - weight[1]
+    support = {T: tuple(rng.randrange(p) for _ in range(n + 1))
+               for T in sorted(needed) if rng.random() < 0.9}
+    return QExpansion(p=p, N=5, weight=Weight(*weight), support=support,
+                      chi1=chi1, chi2=chi2), targets
+
+
+@pytest.mark.parametrize("kind", sorted(HECKE_PIN_FORMS))
+@pytest.mark.parametrize("ell, i", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_hecke_outputs_are_pinned(tmp_path, capsys, kind, ell, i):
+    """Both Hecke subcommands' output, byte for byte, as first recorded."""
+    F, targets = hecke_pin_form(kind, ell, i)
+    src = tmp_path / "in.smf"
+    src.write_text(qexp.serialize(F), encoding="utf-8")
+    got = []
+    for extra in ([], ["--assume-complete"]):
+        assert run(["hecke", "eigen", "--ell", str(ell), "--power", str(i),
+                    *extra, str(src)]) == 0
+        got.append(capsys.readouterr().out.encode("utf-8"))
+    listed = tmp_path / "targets.txt"
+    listed.write_text("".join(f"{a} {b} {c}\n" for a, b, c in targets),
+                      encoding="utf-8")
+    out = tmp_path / "out.smf"
+    assert run(["hecke", "--ell", str(ell), "--power", str(i), "--targets",
+                str(listed), "--assume-complete", str(src),
+                "-o", str(out)]) == 0
+    got.append(out.read_bytes())
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == \
+        HECKE_CLI_PINS[kind, ell, i]
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["theta", "--op", "bogus", "x", "-o", "y"])
@@ -310,9 +394,11 @@ def test_hecke_refuses_a_weight_difference_above_its_bound(tmp_path, capsys,
         targets = tmp_path / "targets.txt"
         targets.write_text("1 0 1\n", encoding="utf-8")
         argv += ["--targets", str(targets), "-o", str(tmp_path / "out.smf")]
-    misses = hecke._plan.cache_info().misses
+    misses = (hecke._plan.cache_info().misses,
+              hecke._lifts.cache_info().misses)
     assert run(argv) == 1
-    assert hecke._plan.cache_info().misses == misses
+    assert (hecke._plan.cache_info().misses,
+            hecke._lifts.cache_info().misses) == misses
     out, err = capsys.readouterr()
     assert out == "" and "Hecke operators run at k1-k2 <= 100, got 101" in err
 

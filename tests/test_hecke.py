@@ -10,7 +10,7 @@ from siegelmodp.hecke import (HeckeError, constant_term_multiplier,
                               eigenvalue, gauss_reduce, hecke_coefficient,
                               index_transform, p1_classes,
                               p1_representatives, required_indices)
-from siegelmodp.qexp import QExpansion
+from siegelmodp.qexp import QExpError, QExpansion
 from siegelmodp.rep import Weight
 from siegelmodp.theta import theta_j
 
@@ -99,6 +99,16 @@ def test_missing_indices_error():
     assert (2, 0, 2) in need  # the alpha-branch doubling
 
 
+def test_a_non_integer_index_is_refused_not_truncated():
+    F = mk(5, 3, (4, 4), {(0, 0, 0): (1,)})
+    for call in (lambda T: hecke_coefficient(F, 2, 1, T,
+                                             assume_complete=True),
+                 lambda T: required_indices(2, 1, T, 3)):
+        with pytest.raises(QExpError, match="non-integer entry"):
+            call((0.9, 0, 0))
+        call((0.0, 0, 0))
+
+
 @pytest.mark.parametrize("ell", [-2, 1, 4, _PRIME_BOUND])
 def test_required_indices_refuses_an_ell_that_is_not_prime(ell):
     with pytest.raises(HeckeError, match=f"ell must be a prime below "
@@ -136,10 +146,9 @@ def _class_function_form(p, N, k, ell, i, T, rng, seeds):
     values = {}
     needed = set()
     for scheme, seed in seeds:
-        from siegelmodp.hecke import _branches, p1_representatives
         reps = {b: p1_representatives(ell, b, N, scheme=scheme, seed=seed)
                 for b in range(i + 1)}
-        needed |= {T2 for *_, T2 in _branches(ell, i, T, reps)}
+        needed |= {T2 for *_, T2 in hecke_oracle.branches(ell, i, T, reps)}
     support = {}
     for T2 in needed:
         key = gauss_reduce(T2)
@@ -192,13 +201,15 @@ def test_ell_coprimality_errors():
 def test_weight_difference_bound_is_checked_before_any_plan():
     from siegelmodp import hecke
     F = mk(5, 7, (105, 4), {(1, 0, 1): (1,) * 102})
-    misses = hecke._plan.cache_info().misses
+    misses = (hecke._plan.cache_info().misses,
+              hecke._lifts.cache_info().misses)
     for call in (lambda: hecke_coefficient(F, 2, 1, (1, 0, 1)),
                  lambda: eigenvalue(F, 3, 2)):
         with pytest.raises(HeckeError, match=r"^Hecke operators run at "
                                              r"k1-k2 <= 100, got 101$"):
             call()
-    assert hecke._plan.cache_info().misses == misses
+    assert (hecke._plan.cache_info().misses,
+            hecke._lifts.cache_info().misses) == misses
 
 
 def lift_count(ell, i):
@@ -235,7 +246,8 @@ def test_lift_bound_is_checked_before_any_plan():
     for ell, i in ((5, 2), (7, 2), (2, 5)):
         assert lift_count(ell, i) <= hecke._MAX_LIFTS
         eigenvalue(F, ell, i, assume_complete=True)
-    misses = hecke._plan.cache_info().misses
+    misses = (hecke._plan.cache_info().misses,
+              hecke._lifts.cache_info().misses)
     for ell, i in ((2, 6), (11, 2), (41, 3), (2, 20), (2, 10 ** 9)):
         assert i > 50 or lift_count(ell, i) > hecke._MAX_LIFTS
         for call in (lambda: hecke_coefficient(F, ell, i, (0, 0, 0)),
@@ -251,7 +263,8 @@ def test_lift_bound_is_checked_before_any_plan():
             with pytest.raises(HeckeError, match=rf"^ell must be a prime "
                                                  rf"below \d+, got {ell}$"):
                 call()
-    assert hecke._plan.cache_info().misses == misses
+    assert (hecke._plan.cache_info().misses,
+            hecke._lifts.cache_info().misses) == misses
 
 
 def test_tensor_normalization_matches_plain():
@@ -284,15 +297,19 @@ def test_random_scheme_checks_the_lifts_it_reads():
 
 
 def _outcome(fn, *args, **kw):
+    """The coordinates of a coefficient, an eigenvalue's (lam, report), or
+    the error's text."""
     try:
-        return fn(*args, **kw).coords
+        out = fn(*args, **kw)
     except HeckeError as exc:
         return str(exc)
+    return getattr(out, "coords", out)
 
 
-def _oracle_form(rng, p, N, n, ell, i, targets, lifts, keep):
+def _oracle_form(rng, p, N, n, ell, i, targets, lifts, keep, chars=None):
     """A form of degree n with random data on a share ``keep`` of the
-    indices that the targets read under every lift choice."""
+    indices that the targets read under every lift choice, with random
+    character tables if ``chars`` is set (by default, one time in two)."""
     needed = set()
     for scheme, seed in lifts:
         reps = {b: p1_representatives(ell, b, N, scheme=scheme, seed=seed)
@@ -303,7 +320,9 @@ def _oracle_form(rng, p, N, n, ell, i, targets, lifts, keep):
                for T2 in sorted(needed) if rng.random() < keep}
     k2 = rng.randrange(2, 6)
     chi1 = chi2 = None
-    if rng.random() < 0.5:
+    if chars is None:
+        chars = rng.random() < 0.5
+    if chars:
         chi1 = tuple(rng.randrange(p) for _ in range(N))
         chi2 = [rng.randrange(p) for _ in range(N)]
         chi2[N - 1] = (-1) ** n % p   # parity chi2(-1) = (-1)^(k1+k2)
@@ -342,6 +361,30 @@ def test_plan_matches_per_call_oracle(ell, N, primes):
                         assert _outcome(hecke_coefficient, *args, **kw) \
                             == want, (ell, i, T, scheme, seed, p, n, keep,
                                       complete)
+
+
+@pytest.mark.parametrize("ell,N,p", [(2, 3, 7), (3, 4, 7), (5, 3, 13)])
+def test_eigenvalue_matches_per_index_oracle(ell, N, p):
+    """eigenvalue gives the (lam, report) or the error of the oracle that
+    reads every index through the per-call coefficient.  For i >= 1 each
+    support holds indices whose inputs are absent, so a check skipped
+    without ``assume_complete`` would show."""
+    rng = random.Random(1000 * ell + p)
+    for i in (0, 1, 2):
+        targets = [(0, 0, 0), (1, 0, 1),
+                   (rng.randrange(1, 3), rng.randrange(-1, 2),
+                    rng.randrange(1, 3))]
+        for n in (0, 1, p - 1, 10):
+            for keep in (1.0, 0.8):
+                for chars in (False, True):
+                    F = _oracle_form(rng, p, N, n, ell, i, targets,
+                                     [("crt", 0)], keep, chars)
+                    for complete in (False, True):
+                        want = _outcome(hecke_oracle.eigenvalue, F, ell, i,
+                                        assume_complete=complete)
+                        assert _outcome(eigenvalue, F, ell, i,
+                                        assume_complete=complete) == want, \
+                            (ell, i, n, keep, chars, complete)
 
 
 def test_p1_representatives_returns_a_fresh_list():

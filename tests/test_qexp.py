@@ -16,9 +16,26 @@ def mk(p=7, N=3, weight=(4, 4), support=None, **kw):
 
 def test_check_index():
     assert check_index((1, -2, 2)) == (1, -2, 2)
+    got = check_index((2.0, 0, 1))  # an integral float is its int
+    assert got == (2, 0, 1) and all(type(x) is int for x in got)
     for bad in [(0, 1, 0), (-1, 0, 1), (1, 0, -1), (1, 3, 2)]:
         with pytest.raises(QExpError, match="semi-positivity"):
             check_index(bad)
+
+
+@pytest.mark.parametrize("bad", [(1.2, 0, 1), (1, 0.5, 1), (1, 0, 2.7),
+                                 ("1", 0, 1), (None, 0, 1),
+                                 (float("nan"), 0, 1), (float("inf"), 0, 1)])
+def test_check_index_refuses_a_non_integer_entry(bad):
+    with pytest.raises(QExpError, match=r"has a non-integer entry$"):
+        check_index(bad)
+
+
+def test_constructor_refuses_a_non_integer_index():
+    with pytest.raises(QExpError, match=r"^index \(1\.2, 0, 1\) has a "
+                                        r"non-integer entry$") as exc:
+        mk(p=5, support={(1.2, 0, 1): (1,), (1.7, 0, 1): (2,)})
+    assert exc.value.key == (1.2, 0, 1)
 
 
 def test_validation():
