@@ -332,10 +332,8 @@ class Series1:
         return cls(field, cutoff)
 
     @classmethod
-    def monomial(cls, field, cutoff, exp: int, coeff=None):
-        if coeff is None:
-            coeff = field.one
-        return cls(field, cutoff, {exp: coeff})
+    def monomial(cls, field, cutoff, exp: int):
+        return cls(field, cutoff, {exp: field.one})
 
     @classmethod
     def const(cls, field, cutoff, c):
@@ -350,15 +348,6 @@ class Series1:
         if not self.coeffs:
             return None
         return min(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return (self.field == other.field and self.cutoff == other.cutoff
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.field, self.cutoff, tuple(sorted(self.coeffs.items()))))
 
     # -- arithmetic ---------------------------------------------------------
     def _like(self, coeffs, loss=False):
@@ -508,10 +497,10 @@ class Series3:
         return cls(p, cutoff, {(0, 0, 0): c})
 
     @classmethod
-    def var(cls, p, cutoff, name: str, coeff: int = 1):
+    def var(cls, p, cutoff, name: str):
         idx = cls.VARS.index(name)
         mono = tuple(1 if i == idx else 0 for i in range(3))
-        return cls(p, cutoff, {mono: coeff})
+        return cls(p, cutoff, {mono: 1})
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self) -> bool:

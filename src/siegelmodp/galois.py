@@ -25,7 +25,8 @@ prime 5 <= p < 3.3e24); any other p raises :class:`GaloisError`.  An ell
 must be nonzero mod p and, by ``arith._check_ell``, the rule that ``hecke``
 shares, a prime below the same bound; ``frob_charpoly`` and
 :class:`HeckeSystem` raise :class:`GaloisError` for any other ell.  A value
-chi2(ell) is a root of unity, so both refuse one that is 0 mod p.
+chi2(ell) is a root of unity, so both refuse one that is 0 mod p.  Both
+refuse a weight with k1 < k2, as :func:`reduction_plan` does.
 """
 
 from __future__ import annotations
@@ -69,6 +70,12 @@ def _check_chi2(chi2: int, p: int) -> None:
         raise GaloisError(f"chi2 must be a unit mod p, got {chi2}")
 
 
+def _check_weight(weight) -> None:
+    k1, k2 = weight
+    if k1 < k2:
+        raise GaloisError(f"weight must satisfy k1 >= k2, got ({k1}, {k2})")
+
+
 def frob_charpoly(lam1: int, lam2: int, chi2: int, ell: int,
                   weight, p: int) -> FrobPoly:
     """The degree-4 Frobenius polynomial mod p (see module docstring)."""
@@ -77,6 +84,7 @@ def frob_charpoly(lam1: int, lam2: int, chi2: int, ell: int,
         raise GaloisError("ell must be nonzero mod p")
     _check_ell(ell, GaloisError)
     _check_chi2(chi2, p)
+    _check_weight(weight)
     k1, k2 = weight
     w = k1 + k2
     lam1 %= p
@@ -104,6 +112,7 @@ class HeckeSystem:
                 raise GaloisError("stored ell values must be coprime to p")
             _check_ell(ell, GaloisError)
             _check_chi2(self.data[ell][2], self.p)
+        _check_weight(self.weight)
 
     def charpoly(self, ell: int) -> FrobPoly:
         lam1, lam2, chi2 = self.data[ell]
@@ -141,14 +150,6 @@ class InertiaDescriptor:
     congruence_mod_p: bool | None        # the congruence read mod p
     congruence_mod_p_minus_1: bool | None  # the same congruence read mod p-1
     reason: str = ""
-
-    def to_json(self) -> dict:
-        return {"type": self.type, "p": self.p,
-                "exponents": dict(self.exponents), "valid": self.valid,
-                "range_ok": self.range_ok,
-                "congruence_mod_p": self.congruence_mod_p,
-                "congruence_mod_p_minus_1": self.congruence_mod_p_minus_1,
-                "reason": self.reason}
 
 
 def _need(exponents, keys):

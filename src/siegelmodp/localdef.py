@@ -102,27 +102,27 @@ def big_theta_local_value(F: Series3, k: int) -> int:
     return total.constant_term()
 
 
-def theta1_local_leading(F0: int, F1: int, F2: int, weight, p: int,
-                         K: int = 2) -> Series3:
+def theta1_local_leading(F0: int, F1: int, F2: int, weight,
+                         p: int) -> Series3:
     """Leading (mod m^2) term of the first vector theta component.
 
     For constant coefficient values (F0, F1, F2) and weight (k1, k2):
     -((k1-3k2)/2) t11 F0 - ((k1-3k2)/2) t12 F1 - (k1-3) t22 F2.
     """
     k1, k2 = weight
-    t11, t12, t22 = variables(p, K)
+    t11, t12, t22 = variables(p, 2)
     half = _inv(2, p)
     c = (-(k1 - 3 * k2)) * half % p
     return (t11.scal(c * F0).add(t12.scal(c * F1))
             .add(t22.scal((-(k1 - 3)) % p * F2)))
 
 
-def theta2_local_n1_leading(F0: int, F1: int, k: int, p: int, K: int = 2):
+def theta2_local_n1_leading(F0: int, F1: int, k: int, p: int):
     """Leading terms of the two components at weight (k+1, k):
 
     ((2k-1)/3)(t22 F1 - t12 F0), ((2k-1)/3)(t12 F1 - t11 F0).
     """
-    t11, t12, t22 = variables(p, K)
+    t11, t12, t22 = variables(p, 2)
     c = (2 * k - 1) * _inv(3, p) % p
     comp0 = t22.scal(F1).sub(t12.scal(F0)).scal(c)
     comp1 = t12.scal(F1).sub(t11.scal(F0)).scal(c)

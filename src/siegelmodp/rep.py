@@ -57,9 +57,6 @@ class RepVector:
             raise ValueError(
                 f"coordinate vector has length {len(self.coords)}, expected {self.n + 1}")
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 @dataclass(frozen=True)
 class PieriSplit:

@@ -20,7 +20,8 @@ tracked so that applying Vhat raises the Frobenius-twist level by one
 (Fhat^(p^(s-1)): level s -> level s-1).  The matrices satisfy the adjunction
 identity Fhat^T J = J Vhat for the standard symplectic pairing
 J = <e_i, e_{i+2}> = 1, which is the basis-vector form of the semilinear
-compatibility between the two operators.
+compatibility between the two operators (``tests/strata_oracle.py`` checks
+it).
 
 Inverses are never taken as matrix inverses: an inverse step is only
 permitted through a declared rank-1 quotient line, and is computed by
@@ -217,10 +218,6 @@ def canonical_filtration_compute(phi, p: int) -> CanonicalType:
 # Dieudonne models over truncated series
 # ---------------------------------------------------------------------------
 
-# symplectic pairing <e_i, e_{i+2}> = 1
-_J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
-
-
 @dataclass(frozen=True)
 class DieudonneModel:
     """Rank-4 module over a truncated series ring with semilinear operators.
@@ -244,24 +241,6 @@ class DieudonneModel:
                 acc = acc.add(e.frobenius_substitute(s).mul(v))
             out.append(acc)
         return tuple(out)
-
-    def adjunction_holds(self) -> bool:
-        """Fhat^T J = J Vhat, checked entrywise (all 16 basis pairs)."""
-        B = self.base
-        for i in range(4):
-            for j in range(4):
-                lhs = Series1.zero(B, self.cutoff)
-                rhs = Series1.zero(B, self.cutoff)
-                for k in range(4):
-                    if _J[k][j]:
-                        lhs = lhs.add(self.Fhat[k][i].scal(
-                            B.from_int(_J[k][j])))
-                    if _J[i][k]:
-                        rhs = rhs.add(self.Vhat[k][j].scal(
-                            B.from_int(_J[i][k])))
-                if not lhs.sub(rhs).is_zero():
-                    return False
-        return True
 
 
 def _vec(model, entries):
@@ -289,10 +268,9 @@ def _solve_line(model, columns, target):
     """Solve target = sum_i x_i * columns[i] over truncated Laurent series.
 
     Gaussian elimination with min-order pivoting; raises ``ChaseError``
-    ("chase left the line") when the system is inconsistent.  Returns the
-    coefficient vector x.
+    ("chase left the line") when the system is inconsistent.  Returns x_0,
+    the coefficient of the line generator ``columns[0]``.
     """
-    B, K = model.base, model.cutoff
     ncols = len(columns)
     # rows of the augmented system
     rows = [[columns[c][i] for c in range(ncols)] + [target[i]]
@@ -324,19 +302,16 @@ def _solve_line(model, columns, target):
             continue
         if any(not e.is_zero() for e in row):
             raise ChaseError("chase left the line")
-    x = []
-    for c in range(ncols):
-        if where[c] is None:
-            x.append(Series1.zero(B, K))
-        else:
-            x.append(rows[where[c]][ncols])
-    return x
+    if where[0] is None:
+        return Series1.zero(model.base, model.cutoff)
+    return rows[where[0]][ncols]
 
 
 @dataclass(frozen=True)
 class Line:
-    """A declared rank-1 quotient line: generator and quotient relations
-    (both in untwisted coordinates; the engine twists as needed)."""
+    """A declared rank-1 quotient line: generator and quotient relations,
+    each a built 4-tuple of :class:`Series1` (see ``_vec``) in untwisted
+    coordinates; the engine twists as needed."""
     gen: tuple
     rels: tuple = ()
 
@@ -358,15 +333,16 @@ class ChaseResult:
 def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
     """Run a semilinear word on a starting vector.
 
-    ``word`` is a sequence of steps:
+    ``word`` is a sequence of steps of three kinds:
 
     - ``("F",)``             forward Fhat (level s -> s-1, matrix twist s-1);
-    - ``("V",)``             forward Vhat (level s -> s+1, matrix twist s);
     - ``("invV", src, depth)``  invert a depth-fold Vhat composite through
-      the declared line ``line_data[src]`` (level s -> s-depth): the forward
-      image of the twisted generator is computed and the running vector is
-      solved as lambda * image modulo the current quotient's relations
-      (``("invV", src, depth, quot)`` names them; default none);
+      the declared line ``line_data[src]`` (level s -> s-depth): the
+      generator is twisted to level s-depth once, its forward image under
+      depth Vhat steps is computed, the running vector is solved as
+      lambda * image modulo the current quotient's relations
+      (``("invV", src, depth, quot)`` names them; default none), and the
+      result is lambda * (twisted generator);
     - ``("extract", name)``  express the running vector as
       lambda * (twisted generator of line ``name``) modulo its relations
       and record lambda as the accumulated multiplier.
@@ -385,9 +361,6 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
                 raise StrataError("cannot apply F below level 0")
             vec = model.apply("F", level - 1, vec)
             level -= 1
-        elif op == "V":
-            vec = model.apply("V", level, vec)
-            level += 1
         elif op == "invV":
             src = line_data[step[1]]
             depth = step[2]
@@ -395,26 +368,23 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
             src_level = level - depth
             if src_level < 0:
                 raise StrataError("inverse step would go below level 0")
-            fwd = _twist_vec(_vec(model, src.gen), src_level)
+            src_gen = _twist_vec(src.gen, src_level)
+            fwd = src_gen
             lv = src_level
             for _ in range(depth):
                 fwd = model.apply("V", lv, fwd)
                 lv += 1
-            rels = [_twist_vec(_vec(model, r), level)
-                    for r in (quot.rels if quot else ())]
+            rels = [_twist_vec(r, level) for r in (quot.rels if quot else ())]
             if _vec_is_zero(fwd):
                 raise ChaseError("chase left the line")
-            sol = _solve_line(model, [fwd] + rels, vec)
-            lam = sol[0]
-            vec = tuple(c.mul(lam) for c in
-                        _twist_vec(_vec(model, src.gen), src_level))
+            lam = _solve_line(model, [fwd] + rels, vec)
+            vec = tuple(c.mul(lam) for c in src_gen)
             level = src_level
         elif op == "extract":
             line = line_data[step[1]]
-            gen = _twist_vec(_vec(model, line.gen), level)
-            rels = [_twist_vec(_vec(model, r), level) for r in line.rels]
-            sol = _solve_line(model, [gen] + rels, vec)
-            multiplier = sol[0]
+            gen = _twist_vec(line.gen, level)
+            rels = [_twist_vec(r, level) for r in line.rels]
+            multiplier = _solve_line(model, [gen] + rels, vec)
             vec = tuple(c.mul(multiplier) for c in gen)
         else:
             raise StrataError(f"unknown chase step {op!r}")
@@ -557,11 +527,10 @@ def partial_hasse_order(phi, p: int, variant: int | None = None,
         raise StrataError("order exceeds cutoff") from None
 
 
-def partial_hasse_report(phi, p: int, variant: int | None = None,
-                         K: int | None = None) -> dict:
+def partial_hasse_report(phi, p: int, variant: int | None = None) -> dict:
     """JSON-ready report comparing the computed order to the closed form."""
     phi = tuple(phi)
-    order = partial_hasse_order(phi, p, variant=variant, K=K)
+    order = partial_hasse_order(phi, p, variant=variant)
     key = (phi, variant if phi == (1, 1) else None)
     formula, fn = ORDER_FORMULA[key]
     expected = fn(p)
@@ -575,21 +544,8 @@ def partial_hasse_report(phi, p: int, variant: int | None = None,
     }
 
 
-def zeta_independent(p: int, K: int | None = None) -> bool:
+def zeta_independent(p: int) -> bool:
     """Exhaustive check that the (0,1) order is the same for every root."""
-    orders = {partial_hasse_order((0, 1), p, K=K, zeta=z)
+    orders = {partial_hasse_order((0, 1), p, zeta=z)
               for z in all_zetas(p)}
     return len(orders) == 1
-
-
-def point_model_products_vanish(p: int) -> bool:
-    """F.V = V.F = 0 on every mod-p point model (t = 0 specialization)."""
-    _check_prime(p, StrataError)
-    for phi in ((0, 0), (0, 1), (1, 2)):
-        V, F = _point_model(phi)
-        for A, Bm in ((F, V), (V, F)):
-            for i in range(4):
-                for j in range(4):
-                    if sum(A[i][k] * Bm[k][j] for k in range(4)) % p:
-                        return False
-    return True

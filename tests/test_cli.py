@@ -438,6 +438,15 @@ def test_charpoly_refuses_a_chi2_that_is_not_a_unit(capsys, chi2):
         galois.HeckeSystem(p=5, weight=(3, 3), data={2: (1, 1, int(chi2))})
 
 
+def test_charpoly_refuses_a_weight_with_k1_below_k2(capsys):
+    """The rule that plan applies: k1 >= k2."""
+    assert run(["charpoly", "--ell", "2", "--lam1", "1", "--lam2", "1",
+                "--chi2", "1", "--k1", "3", "--k2", "5", "--p", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "weight must satisfy k1 >= k2, got (3, 5)\n"
+
+
 @settings(max_examples=80, deadline=None)
 @given(ell=st.integers(-60, 60))
 def test_charpoly_runs_exactly_at_the_primes_other_than_p(ell):

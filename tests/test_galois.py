@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -44,6 +45,22 @@ def test_frobpoly_validation():
         frob_charpoly(1, 1, 1, 2, (3, 3), 6)
     with pytest.raises(GaloisError, match="nonzero"):
         frob_charpoly(1, 1, 1, 7, (3, 3), 7)
+
+
+def test_a_weight_with_k1_below_k2_is_refused():
+    msg = re.escape("weight must satisfy k1 >= k2, got (3, 5)")
+    with pytest.raises(GaloisError, match=msg):
+        frob_charpoly(1, 1, 1, 2, (3, 5), 7)
+    with pytest.raises(GaloisError, match=msg):
+        HeckeSystem(p=7, weight=(3, 5), data={2: (1, 1, 1)})
+    # the p, ell and chi2 checks come first
+    with pytest.raises(GaloisError, match="prime"):
+        frob_charpoly(1, 1, 1, 2, (3, 5), 6)
+    with pytest.raises(GaloisError, match="nonzero"):
+        frob_charpoly(1, 1, 1, 7, (3, 5), 7)
+    with pytest.raises(GaloisError, match="chi2"):
+        HeckeSystem(p=7, weight=(3, 5), data={2: (1, 1, 0)})
+    frob_charpoly(1, 1, 1, 2, (5, 5), 7)
 
 
 def test_twist_scales_roots():

@@ -78,6 +78,7 @@ def test_t1_is_identity():
         F = mk(p, N, (5, 3), support)
         for T, vec in support.items():
             got = hecke_coefficient(F, 2, 0, T, assume_complete=True)
+            assert (got.n, got.m) == (2, 3)
             assert got.coords == tuple(v % p for v in vec)
 
 

@@ -40,8 +40,6 @@ ENTRY_POINTS = [
      lambda p: qexp.QExpansion(p=p, N=7, weight=rep.Weight(4, 4))),
     ("canonical_filtration_compute", strata.StrataError,
      lambda p: strata.canonical_filtration_compute((0, 1), p)),
-    ("point_model_products_vanish", strata.StrataError,
-     strata.point_model_products_vanish),
     ("constant_term_multiplier", hecke.HeckeError,
      lambda p: hecke.constant_term_multiplier(2, 4, p)),
     ("rep_apply", ValueError,

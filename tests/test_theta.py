@@ -142,6 +142,7 @@ def test_theta_j_coefficient_matches_operator():
         G = theta_j(F, j)
         for T, vec in F.support.items():
             comp = theta_j_coefficient(vec, T, 2, p, N, j)
+            assert (comp.n, comp.m) == (2 * j - 2, 3 - j)
             if any(comp.coords):
                 assert G.support[T] == comp.coords
             else:
