@@ -88,10 +88,7 @@ def rep_apply(weight: Weight, g, v: RepVector, p: int) -> RepVector:
     n = weight.n
     if v.n != n:
         raise ValueError("vector degree does not match weight")
-    if weight.k2 >= 0:
-        detk2 = pow(det, weight.k2, p)
-    else:
-        detk2 = pow(pow(det, p - 2, p), -weight.k2, p)
+    detk2 = pow(det, weight.k2, p)
     out = [0] * (n + 1)
     for i, ci in enumerate(v.coords):
         if ci % p == 0:

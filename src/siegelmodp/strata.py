@@ -2,15 +2,15 @@
 filtrations, and vanishing orders of partial Hasse invariants.
 
 The four strata are labelled by elementary sequences phi in
-{(0,0), (0,1), (1,1), (1,2)}.  For each label the module provides
-
-- the printed combinatorial data (multiplicity f, a-number, final sequence
-  psi, canonical type (rho, v, f, pi, n)) via :func:`eo_tables`;
-- an independent recomputation of the canonical type from a rank-4 mod-p
-  point model via :func:`canonical_filtration_compute`;
-- a semilinear chase engine over truncated (Laurent) series in one
-  deformation parameter t, used to extract the t-order of each partial
-  Hasse invariant via :func:`partial_hasse_order`.
+{(0,0), (0,1), (1,1), (1,2)}.  One table row per stratum holds its printed
+data (multiplicity f, final sequence psi, canonical type (rho, v, f, pi, n);
+the a-number is 2 - phi(2)), read by :func:`eo_tables`, and its rank-4 mod-p
+point model, from which :func:`canonical_filtration_compute` recomputes the
+canonical type.  One row of :data:`HASSE_CASES` per partial Hasse invariant
+(phi, variant) holds its closed-form order, default cutoff, deformed model
+and the words of a semilinear chase engine over truncated (Laurent) series
+in one deformation parameter t; :func:`partial_hasse_order` runs them and
+reads the t-order, refusing a variant or zeta the case does not take.
 
 Covariant convention (important): the stored matrix ``Fhat`` represents the
 *Verschiebung* of the underlying group scheme and ``Vhat`` its *Frobenius* —
@@ -33,6 +33,7 @@ order tracking).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .arith import (Fp, Fp2, Series1, _check_prime, all_zetas, echelon,
                     find_zeta, kernel)
@@ -46,9 +47,6 @@ class ChaseError(StrataError):
     """A Frobenius/Verschiebung chase left the line it was following."""
 
 
-PHI_VALUES = ((0, 0), (0, 1), (1, 1), (1, 2))
-
-
 # ---------------------------------------------------------------------------
 # combinatorial records
 # ---------------------------------------------------------------------------
@@ -57,13 +55,11 @@ PHI_VALUES = ((0, 0), (0, 1), (1, 1), (1, 2))
 class ElementarySequence:
     phi: tuple
     f: int      # multiplicity weight of the stratum
-    a: int      # a-number, equal to 2 - phi(2)
+    a = property(lambda self: 2 - self.phi[1])  # a-number, 2 - phi(2)
 
     def __post_init__(self):
         if self.phi not in PHI_VALUES:
             raise StrataError(f"phi must be one of {PHI_VALUES}, got {self.phi}")
-        if self.a != 2 - self.phi[1]:
-            raise StrataError("a-number must equal 2 - phi(2)")
 
 
 @dataclass(frozen=True)
@@ -106,30 +102,40 @@ class StratumRecord:
     canonical: CanonicalType
 
 
-_F_TABLE = {(0, 0): 0, (0, 1): 0, (1, 1): 1, (1, 2): 2}
-_PSI_TABLE = {(0, 0): (0, 0, 1, 2), (0, 1): (0, 1, 1, 2),
-              (1, 1): (1, 1, 2, 2), (1, 2): (1, 2, 2, 2)}
-_CT_TABLE = {
-    (0, 0): CanonicalType(2, 1, (0, 2, 4), (0, 0, 1), (1, 2, 2), (1, 0), 2),
-    (0, 1): CanonicalType(4, 2, (0, 1, 2, 3, 4), (0, 0, 1, 1, 2),
-                          (2, 3, 3, 4, 4), (2, 0, 3, 1), 4),
-    (1, 1): CanonicalType(4, 2, (0, 1, 2, 3, 4), (0, 1, 1, 2, 2),
-                          (2, 2, 3, 3, 4), (0, 2, 1, 3), 2),
-    (1, 2): CanonicalType(2, 1, (0, 2, 4), (0, 1, 1), (1, 1, 2), (0, 1), 1),
+# phi -> (f, psi, canonical type, point model (V, F)): the printed data of
+# each stratum and its 4x4 matrices over F_p at the distinguished point
+# (deformation parameter specialized)
+_Z = (0, 0, 0, 0)
+_STRATA = {
+    (0, 0): (0, (0, 0, 1, 2),
+             CanonicalType(2, 1, (0, 2, 4), (0, 0, 1), (1, 2, 2), (1, 0), 2),
+             (((0, 0, 1, 0), (0, 0, 0, 1), _Z, _Z),
+              ((0, 0, -1, 0), (0, 0, 0, -1), _Z, _Z))),
+    (0, 1): (0, (0, 1, 1, 2),
+             CanonicalType(4, 2, (0, 1, 2, 3, 4), (0, 0, 1, 1, 2),
+                           (2, 3, 3, 4, 4), (2, 0, 3, 1), 4),
+             (((0, 0, 0, 1), (1, 0, 0, 0), _Z, _Z),
+              (_Z, (0, 0, -1, 0), (0, 0, 0, 1), _Z))),
+    # one-parameter deformation of the (0, 1) model, specialized at t = 1
+    (1, 1): (1, (1, 1, 2, 2),
+             CanonicalType(4, 2, (0, 1, 2, 3, 4), (0, 1, 1, 2, 2),
+                           (2, 2, 3, 3, 4), (0, 2, 1, 3), 2),
+             (((1, 0, 0, 1), (1, 0, 0, 0), _Z, _Z),
+              (_Z, (0, 0, -1, 0), (0, 0, 1, 1), _Z))),
+    (1, 2): (2, (1, 2, 2, 2),
+             CanonicalType(2, 1, (0, 2, 4), (0, 1, 1), (1, 1, 2), (0, 1), 1),
+             (((1, 0, 0, 0), (0, 1, 0, 0), _Z, _Z),
+              (_Z, _Z, (0, 0, 1, 0), (0, 0, 0, 1)))),
 }
+
+PHI_VALUES = tuple(_STRATA)
 
 
 def eo_tables() -> dict:
     """The printed stratum data, keyed by phi."""
-    out = {}
-    for phi in PHI_VALUES:
-        out[phi] = StratumRecord(
-            phi=phi,
-            elementary=ElementarySequence(phi, _F_TABLE[phi], 2 - phi[1]),
-            final=FinalSequence(_PSI_TABLE[phi]),
-            canonical=_CT_TABLE[phi],
-        )
-    return out
+    return {phi: StratumRecord(phi, ElementarySequence(phi, f),
+                               FinalSequence(psi), ct)
+            for phi, (f, psi, ct, _) in _STRATA.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -149,25 +155,11 @@ def _mat_preimage(M, space, p):
                    for row in ann], p, len(M[0]))
 
 
-# point models: 4x4 matrices over F_p at the distinguished point of each
-# stratum (deformation parameter specialized)
 def _point_model(phi):
-    if phi == (0, 0):
-        V = ((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0))
-        F = ((0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 0, 0))
-    elif phi == (0, 1):
-        V = ((0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
-        F = ((0, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
-    elif phi == (1, 1):
-        # one-parameter deformation of the (0, 1) model, specialized at t = 1
-        V = ((1, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
-        F = ((0, 0, 0, 0), (0, 0, -1, 0), (0, 0, 1, 1), (0, 0, 0, 0))
-    elif phi == (1, 2):
-        V = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
-        F = ((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    else:
+    """The point model (V, F) of the stratum phi."""
+    if phi not in PHI_VALUES:
         raise StrataError(f"phi must be one of {PHI_VALUES}, got {phi}")
-    return V, F
+    return _STRATA[phi][3]
 
 
 def canonical_filtration_compute(phi, p: int) -> CanonicalType:
@@ -247,21 +239,14 @@ def _vec(model, entries):
     """Vector from a dict {index: coeff-or-Series1} or a 4-sequence."""
     B, K = model.base, model.cutoff
     out = [Series1.zero(B, K) for _ in range(4)]
-    if isinstance(entries, dict):
-        for i, c in entries.items():
-            out[i] = c if isinstance(c, Series1) else Series1.const(B, K, c)
-    else:
-        for i, c in enumerate(entries):
-            out[i] = c if isinstance(c, Series1) else Series1.const(B, K, c)
+    items = entries.items() if isinstance(entries, dict) else enumerate(entries)
+    for i, c in items:
+        out[i] = c if isinstance(c, Series1) else Series1.const(B, K, c)
     return tuple(out)
 
 
 def _twist_vec(vec, s):
     return tuple(c.frobenius_substitute(s) for c in vec)
-
-
-def _vec_is_zero(vec):
-    return all(c.is_zero() for c in vec)
 
 
 def _solve_line(model, columns, target):
@@ -375,7 +360,7 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
                 fwd = model.apply("V", lv, fwd)
                 lv += 1
             rels = [_twist_vec(r, level) for r in (quot.rels if quot else ())]
-            if _vec_is_zero(fwd):
+            if all(c.is_zero() for c in fwd):
                 raise ChaseError("chase left the line")
             lam = _solve_line(model, [fwd] + rels, vec)
             vec = tuple(c.mul(lam) for c in src_gen)
@@ -455,93 +440,97 @@ def model_0_1(p: int, K: int, zeta=None) -> tuple:
     return model, lines
 
 
-_DEFAULT_CUTOFF = {
-    (0, 1): lambda p: p ** 4 + p,
-    (1, 1): lambda p: p * p + 2 * p + 2,
-    (1, 2): lambda p: 3,
+@dataclass(frozen=True)
+class HasseCase:
+    formula: str    # closed form of the t-order, as printed
+    value: object   # p -> the order that formula gives
+    cutoff: object  # p -> default cutoff K
+    model: object   # (p, K, zeta) -> (model, lines), None without chases
+    chases: tuple   # (start line, start level, word) per multiplier
+
+
+def _chases_1_1(line):
+    return ((line, 2, (("invV", "B2", 1, line), ("F",), ("extract", line))),
+            ("B0", 2, (("F",), ("F",), ("extract", "B0"))))
+
+
+# (phi, variant) -> case; the invariant is the product of the multipliers of
+# the case's chases.  The variant of phi = (1,1) selects the basis vector e2
+# resp. e3 of the quotient line B1 through which the invariant is read.
+# (1,2) has no chase: its invariant is the classical Hasse invariant, the
+# determinant of the 2x2 Verschiebung block [[1, 0], [t11, t12]] on a
+# transverse arc t12 = t.
+HASSE_CASES = {
+    ((1, 2), None): HasseCase("1", lambda p: 1, lambda p: 3, None, ()),
+    ((1, 1), 1): HasseCase("p^2+2p-1", lambda p: p * p + 2 * p - 1,
+                           lambda p: p * p + 2 * p + 2,
+                           lambda p, K, zeta: model_1_1(p, K),
+                           _chases_1_1("B1e2")),
+    ((1, 1), 2): HasseCase("2p", lambda p: 2 * p,
+                           lambda p: p * p + 2 * p + 2,
+                           lambda p, K, zeta: model_1_1(p, K),
+                           _chases_1_1("B1e3")),
+    ((0, 1), None): HasseCase(
+        "p^4-p^3-p^2+p", lambda p: p ** 4 - p ** 3 - p * p + p,
+        lambda p: p ** 4 + p, lambda p, K, zeta: model_0_1(p, K, zeta=zeta),
+        (("B1", 4, (("F",), ("invV", "B3", 2, "B0"), ("F",),
+                    ("extract", "B1"))),
+         ("B0", 4, (("invV", "B3", 2, "B0"), ("F",), ("F",),
+                    ("extract", "B0"))))),
 }
-
-ORDER_FORMULA = {
-    ((1, 2), None): ("1", lambda p: 1),
-    ((1, 1), 1): ("p^2+2p-1", lambda p: p * p + 2 * p - 1),
-    ((1, 1), 2): ("2p", lambda p: 2 * p),
-    ((0, 1), None): ("p^4-p^3-p^2+p",
-                     lambda p: p ** 4 - p ** 3 - p * p + p),
-}
-
-
-def _order_of(series, K):
-    if series is None or series.is_zero() or series.truncation_loss:
-        raise StrataError("order exceeds cutoff")
-    o = series.order()
-    if o >= K:
-        raise StrataError("order exceeds cutoff")
-    return o
 
 
 def partial_hasse_order(phi, p: int, variant: int | None = None,
                         K: int | None = None, zeta=None) -> int:
     """Vanishing t-order of the partial Hasse invariant along the stratum.
 
-    ``variant`` (1 or 2, required for phi=(1,1)) selects the basis vector
-    e2 resp. e3 of the quotient line through which the invariant is read.
+    The case (phi, variant) of :data:`HASSE_CASES` gives the default cutoff
+    K, the model and the chases; the order is that of the product of the
+    chase multipliers.  ``variant`` (1 or 2) is required for phi = (1,1)
+    and refused elsewhere; ``zeta``, a (p+1)-th root of -1 in F_{p^2}
+    (default: find_zeta(p)), is refused outside phi = (0,1).  An order at
+    or past the cutoff raises "order exceeds cutoff".
     """
     phi = tuple(phi)
     if phi == (0, 0):
         raise StrataError("no partial Hasse invariant on the superspecial stratum")
     if phi not in PHI_VALUES:
         raise StrataError(f"phi must be one of {PHI_VALUES}, got {phi}")
-    if K is None:
-        K = _DEFAULT_CUTOFF[phi](p)
-
-    if phi == (1, 2):
-        # classical Hasse invariant: determinant of the 2x2 Verschiebung
-        # block [[1, 0], [t11, t12]] restricted to a transverse arc t12 = t
-        B = Fp(p)
-        det = Series1.monomial(B, K, 1)
-        return _order_of(det, K)
-
     try:
-        if phi == (1, 1):
-            if variant not in (1, 2):
-                raise StrataError("phi=(1,1) requires variant 1 or 2")
-            model, lines = model_1_1(p, K)
-            gen_name = "B1e2" if variant == 1 else "B1e3"
-            res_a = chase(model, [("invV", "B2", 1, gen_name), ("F",),
-                                  ("extract", gen_name)],
-                          (lines[gen_name].gen, 2), lines)
-            res_b = chase(model, [("F",), ("F",), ("extract", "B0")],
-                          (lines["B0"].gen, 2), lines)
-        else:  # phi == (0, 1)
-            model, lines = model_0_1(p, K, zeta=zeta)
-            res_a = chase(model, [("F",), ("invV", "B3", 2, "B0"), ("F",),
-                                  ("extract", "B1")],
-                          (lines["B1"].gen, 4), lines)
-            res_b = chase(model, [("invV", "B3", 2, "B0"), ("F",), ("F",),
-                                  ("extract", "B0")],
-                          (lines["B0"].gen, 4), lines)
-        return _order_of(res_a.multiplier.mul(res_b.multiplier), K)
-    except ChaseError:
-        # on these fixed models the only failure source is truncation:
-        # a chase that degenerates below the cutoff means K was too small
-        raise StrataError("order exceeds cutoff") from None
+        case = HASSE_CASES[phi, variant]
+    except (KeyError, TypeError):
+        raise StrataError("phi=(1,1) requires variant 1 or 2" if phi == (1, 1)
+                          else "variant applies only to phi=(1,1)") from None
+    if zeta is not None and phi != (0, 1):
+        raise StrataError("zeta applies only to phi=(0,1)")
+    if K is None:
+        K = case.cutoff(p)
+    if not case.chases:
+        inv = Series1.monomial(Fp(p), K, 1)
+    else:
+        model, lines = case.model(p, K, zeta)
+        try:
+            inv = reduce(Series1.mul,
+                         [chase(model, word, (lines[name].gen, level),
+                                lines).multiplier
+                          for name, level, word in case.chases])
+        except ChaseError:
+            # on these fixed models the only failure source is truncation:
+            # a chase that degenerates below the cutoff means K was too small
+            raise StrataError("order exceeds cutoff") from None
+    if inv.is_zero() or inv.truncation_loss or inv.order() >= K:
+        raise StrataError("order exceeds cutoff")
+    return inv.order()
 
 
 def partial_hasse_report(phi, p: int, variant: int | None = None) -> dict:
-    """JSON-ready report comparing the computed order to the closed form."""
+    """The report ``strata order`` prints: the computed order, the closed
+    form it should equal, and whether it does."""
     phi = tuple(phi)
     order = partial_hasse_order(phi, p, variant=variant)
-    key = (phi, variant if phi == (1, 1) else None)
-    formula, fn = ORDER_FORMULA[key]
-    expected = fn(p)
-    return {
-        "phi": list(phi),
-        "variant": variant,
-        "p": p,
-        "order": order,
-        "formula_check": {"expected": expected, "formula": formula,
-                          "computed": order, "match": order == expected},
-    }
+    case = HASSE_CASES[phi, variant]
+    return {"phi": list(phi), "variant": variant, "p": p, "order": order,
+            "expected": case.formula, "match": order == case.value(p)}
 
 
 def zeta_independent(p: int) -> bool:

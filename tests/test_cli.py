@@ -73,11 +73,24 @@ def test_strata_order_json(capsys):
                 "--p", "7"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["order"] == 14 and data["match"] is True
+    # every case at four primes, byte for byte
+    out = []
+    for p in (5, 7, 11, 13):
+        for phi, variant in (("1,2", None), ("1,1", 1), ("1,1", 2),
+                             ("0,1", None)):
+            assert run(["strata", "order", "--phi", phi, "--p", str(p)]
+                       + (["--variant", str(variant)] if variant else [])) == 0
+            out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "8c3dd85fd2728a10fe78cb854bdc98a62c8a31167f74c73146f8641aa37384f0")
 
 
 def test_strata_tables(capsys):
     assert run(["strata", "tables"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5eb15e14bbd19e9adf3b566fd5b05e2c835cabdd556bd7ab47b733ff112dc38f")
+    data = json.loads(out)
     assert set(data) == {"0,0", "0,1", "1,1", "1,2"}
     assert data["0,1"]["pi"] == [2, 0, 3, 1] and data["0,1"]["n"] == 4
 

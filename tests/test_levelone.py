@@ -1,9 +1,12 @@
 """Hecke and Galois checks on real forms: the level-one Siegel Eisenstein
-series of degree 2 (fixture in levelone.py)."""
+series of degree 2 and the Saito-Kurokawa lifts chi10 and chi12 (fixtures
+in levelone.py)."""
 
 import pytest
 
-from levelone import box_indices, eisenstein_coefficient, eisenstein_form
+from levelone import (box_indices, eisenstein_coefficient, eisenstein_form,
+                      jacobi_cusp_coefficient, saito_kurokawa_coefficient,
+                      saito_kurokawa_form)
 from siegelmodp.galois import frob_charpoly
 from siegelmodp.hecke import eigenvalue
 
@@ -46,3 +49,57 @@ def test_t4_eigenvalue_and_frobenius_polynomial():
         poly = [(a - root * b) % p for a, b in zip(poly + [0], [0] + poly)]
     got = frob_charpoly(lam1, lam2, 1, ell, (k, k), p).coeffs
     assert got == tuple(poly) == (1, 10, 9, 1, 1)
+
+
+def _product_mod(factors, p):
+    """Coefficients mod p of a product of polynomials in X, each given by
+    its coefficient list from the constant term up."""
+    poly = [1]
+    for f in factors:
+        out = [0] * (len(poly) + len(f) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        poly = out
+    return tuple(x % p for x in poly)
+
+
+def test_jacobi_cusp_coefficients():
+    Ds = (3, 4, 7, 8, 11, 12)
+    assert [jacobi_cusp_coefficient(10, D) for D in Ds] == [
+        1, -2, -16, 36, 99, -272]
+    assert [jacobi_cusp_coefficient(12, D) for D in Ds] == [
+        1, 10, -88, -132, 1275, 736]
+    # the Maass lift: a(T) = c(D) at primitive T, zero at D = 0
+    assert saito_kurokawa_coefficient(10, (1, 1, 1)) == 1
+    assert saito_kurokawa_coefficient(10, (1, 0, 2)) == 36
+    # (2, 2, 2): D = 12, content 2, so c(12) + 2^9 c(3)
+    assert saito_kurokawa_coefficient(10, (2, 2, 2)) == -272 + 2 ** 9
+    assert saito_kurokawa_coefficient(12, (1, 2, 1)) == 0
+
+
+# (k, p, a_f(2) of the elliptic newform f in S_(2k-2), indices checked)
+SK_T2 = [(10, 11, -528, 21), (12, 13, -288, 28)]
+
+
+@pytest.mark.parametrize("k, p, af2, checked", SK_T2)
+def test_saito_kurokawa_t2_eigenvalue(k, p, af2, checked):
+    """lambda(T(2)) = a_f(2) + 2^(k-1) + 2^(k-2) on chi_k (level N = 3)."""
+    lam, report = eigenvalue(saito_kurokawa_form(k, p, 3), 2, 1)
+    assert lam == (af2 + 2 ** (k - 1) + 2 ** (k - 2)) % p
+    assert len(report) == checked and all(m for _, m in report)
+
+
+def test_chi10_t4_eigenvalue_and_frobenius_polynomial():
+    """On chi10 at p = 11 the Frobenius polynomial at 2 is the
+    Saito-Kurokawa product (1 - 2^9 X)(1 - 2^8 X)(1 + 528 X + 2^17 X^2)."""
+    p, k, ell = 11, 10, 2
+    F = saito_kurokawa_form(k, p, 3)
+    lam1, _ = eigenvalue(F, ell, 1)
+    lam2, report = eigenvalue(F, ell, 2)
+    assert (lam1, lam2) == (9, 3)
+    assert len(report) == 2 and all(m for _, m in report)
+    want = _product_mod(([1, -ell ** (k - 1)], [1, -ell ** (k - 2)],
+                      [1, 528, ell ** (2 * k - 3)]), p)
+    got = frob_charpoly(lam1, lam2, 1, ell, (k, k), p).coeffs
+    assert got == want == (1, 2, 3, 3, 5)

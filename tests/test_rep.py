@@ -41,6 +41,11 @@ def test_rep_apply_identity_and_composition():
     assert rep_apply(w, g, rep_apply(w, h, v, p), p) == rep_apply(w, gh, v, p)
     with pytest.raises(ValueError, match="singular"):
         rep_apply(w, ((1, 1), (1, 1)), v, p)
+    # k2 < 0: g = diag(2, 1) scales u_i = e1^(2-i) e2^i by 2^(2-i), and
+    # det^-1 = 2^-1 = 4 mod 7
+    got = rep_apply(Weight(1, -1), ((2, 0), (0, 1)),
+                    RepVector(2, -1, (1, 2, 3)), p)
+    assert got.coords == (4 * 4 * 1 % p, 2 * 4 * 2 % p, 1 * 4 * 3 % p)
 
 
 def test_sym2_of_index():

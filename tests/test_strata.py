@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from siegelmodp.arith import Series1, all_zetas
-from siegelmodp.strata import (_DEFAULT_CUTOFF, PHI_VALUES, CanonicalType,
+from siegelmodp.strata import (HASSE_CASES, PHI_VALUES, CanonicalType,
                                ChaseError, ElementarySequence, FinalSequence,
                                StrataError, _mat_image, _mat_preimage,
                                canonical_filtration_compute, chase, eo_tables,
@@ -28,7 +28,7 @@ def test_eo_tables_printed_data():
 
 def test_record_invariants():
     with pytest.raises(StrataError):
-        ElementarySequence((0, 1), 0, 2)  # a must be 2 - phi(2)
+        ElementarySequence((2, 2), 0)  # phi must name a stratum
     with pytest.raises(StrataError):
         FinalSequence((0, 1, 2, 2))  # duality violated
     with pytest.raises(StrataError):
@@ -118,7 +118,7 @@ def test_zeta_independence_exhaustive(p):
 
 def test_report_and_errors():
     rep = partial_hasse_report((1, 1), 5, variant=1)
-    assert rep["order"] == 34 and rep["formula_check"]["match"]
+    assert rep["order"] == 34 and rep["match"]
     with pytest.raises(StrataError, match="order exceeds cutoff"):
         partial_hasse_order((0, 1), 5, K=100)
     with pytest.raises(StrataError, match="superspecial"):
@@ -127,6 +127,15 @@ def test_report_and_errors():
         partial_hasse_order((1, 1), 5)
     with pytest.raises(StrataError, match="zeta"):
         model_0_1(5, 50, zeta=(1, 0))
+    # a variant or zeta the case would ignore is refused
+    with pytest.raises(StrataError, match="variant applies only"):
+        partial_hasse_order((1, 2), 5, variant=7)
+    with pytest.raises(StrataError, match="variant applies only"):
+        partial_hasse_order((0, 1), 5, variant=2)
+    with pytest.raises(StrataError, match="zeta applies only"):
+        partial_hasse_order((1, 1), 5, variant=1, zeta=(1, 0))
+    with pytest.raises(StrataError, match="variant applies only"):
+        partial_hasse_report((1, 2), 5, variant=7)
 
 
 def _chase_outcome(phi, p, variant, K):
@@ -147,7 +156,7 @@ def test_chases_at_every_small_cutoff():
     cases = []
     for p in (5, 7):
         for phi, variant in (((1, 1), 1), ((1, 1), 2), ((0, 1), None)):
-            top = _DEFAULT_CUTOFF[phi](p) + 3
+            top = HASSE_CASES[phi, variant].cutoff(p) + 3
             for K in sorted(set(range(1, min(top, 80)))
                             | set(range(max(80, top - 60), top))):
                 cases.append(f"{p} {phi} {variant} {K} "
