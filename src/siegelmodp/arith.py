@@ -27,6 +27,8 @@ the result, ``add``, ``mul`` and ``frobenius_substitute`` return it, shared.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 # ---------------------------------------------------------------------------
 # primes
@@ -39,6 +41,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+# Each form, theta coefficient and rep_apply re-checks its p: keep the answers.
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every n < 3.3e24.
 
@@ -303,6 +307,14 @@ def kernel(rows, p: int, width: int):
 # univariate truncated series (Laurent exponents permitted)
 # ---------------------------------------------------------------------------
 
+def _neumann(one, x):
+    """1/(1 - x), the sum of x^k below the cutoff, for x with no constant."""
+    acc = term = one
+    while not (term := term.mul(x)).is_zero():
+        acc = acc.add(term)
+    return acc
+
+
 class Series1:
     """Sparse univariate truncated series sum_e c_e * t^e with e < cutoff.
 
@@ -411,28 +423,17 @@ class Series1:
     def inverse(self):
         """Inverse of a series whose lowest term is invertible.
 
-        Writes f = c*t^e*(1+g) with order(g) >= 1 and expands the geometric
+        Writes f = c*t^e*(1-x) with order(x) >= 1 and expands the geometric
         series, exact below the cutoff.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero series")
         F = self.field
         e0 = self.order()
-        c0 = self.coeffs[e0]
-        c0inv = F.inv(c0)
-        # u = f / (c0 t^e0) = 1 + g
-        u = self.shift(-e0).scal(c0inv)
-        g = u.sub(Series1.const(F, self.cutoff, F.one))
-        # inv(u) = sum (-g)^k
-        acc = Series1.const(F, self.cutoff, F.one)
-        term = Series1.const(F, self.cutoff, F.one)
-        ng = g.neg()
-        while True:
-            term = term.mul(ng)
-            if term.is_zero():
-                break
-            acc = acc.add(term)
-        return acc.scal(c0inv).shift(-e0)
+        c0inv = F.inv(self.coeffs[e0])
+        one = Series1.const(F, self.cutoff, F.one)
+        x = one.sub(self.shift(-e0).scal(c0inv))
+        return _neumann(one, x).scal(c0inv).shift(-e0)
 
     # -- semilinear substitution -------------------------------------------
     def frobenius_substitute(self, s: int = 1):
@@ -583,17 +584,8 @@ class Series3:
         if c0 == 0:
             raise ZeroDivisionError("not a unit in the local ring")
         c0inv = pow(c0, self.p - 2, self.p)
-        u = self.scal(c0inv)
-        g = u.sub(Series3.const(self.p, self.cutoff, 1))
-        acc = Series3.const(self.p, self.cutoff, 1)
-        term = Series3.const(self.p, self.cutoff, 1)
-        ng = g.neg()
-        for _ in range(self.cutoff + 1):
-            term = term.mul(ng)
-            if term.is_zero():
-                break
-            acc = acc.add(term)
-        return acc.scal(c0inv)
+        one = Series3.const(self.p, self.cutoff, 1)
+        return _neumann(one, one.sub(self.scal(c0inv))).scal(c0inv)
 
     def __repr__(self):
         if not self.coeffs:

@@ -39,10 +39,22 @@ class CliError(ValueError):
 _DOMAIN_ERRORS = (ValueError, OSError)
 
 
+def _read_text(path: str) -> str:
+    """A form or targets file read as UTF-8 text; a byte that is not UTF-8
+    reads as a lone surrogate, whose line the error names."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as e:
+        lineno = text.count("\n", 0, e.start) + 1
+        raise CliError(f"{path}:{lineno}: not UTF-8 text") from None
+    return text
+
+
 def _read_form(path: str):
     from . import qexp
-    with open(path, "r", encoding="utf-8") as fh:
-        return qexp.parse(fh.read())
+    return qexp.parse(_read_text(path))
 
 
 def _write_form(F, path: str) -> None:
@@ -91,36 +103,26 @@ def _cmd_theta(args) -> int:
 
 def _read_targets(path: str):
     from . import qexp
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                a, b, c = (int(x) for x in line.split())
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: expected three integers "
-                               f"'a b c', got {line!r}") from None
-            try:
-                out.append(qexp.check_index((a, b, c)))
-            except qexp.QExpError as e:
-                raise CliError(f"{path}:{lineno}: {e}") from None
-    return out
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            a, b, c = (int(x) for x in line.split())
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: expected three integers "
+                           f"'a b c', got {line!r}") from None
+        try:
+            yield qexp.check_index((a, b, c))
+        except qexp.QExpError as e:
+            raise CliError(f"{path}:{lineno}: {e}") from None
 
 
 def _cmd_hecke(args) -> int:
-    from . import hecke, qexp
+    from . import hecke
     F = _read_form(args.input)
-    hecke._check_operator(F, args.ell, args.power)
-    targets = _read_targets(args.targets)
-    support = {}
-    for T in targets:
-        vec = hecke.hecke_coefficient(F, args.ell, args.power, T,
-                                      assume_complete=args.assume_complete)
-        if any(vec.coords):
-            support[T] = vec.coords
-    G = qexp._derive(F, F.weight, support)
+    G = hecke.hecke_image(F, args.ell, args.power, _read_targets(args.targets),
+                          assume_complete=args.assume_complete)
     _write_form(G, args.output)
     return 0
 

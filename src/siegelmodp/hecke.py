@@ -31,8 +31,9 @@ products that make U T tU linear in T and the powers of ell of the gamma
 filter and of T'; one enumerator reads it for the sum and for
 ``required_indices``.  The plan, keyed by n and p as well, holds each lift's
 ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of columns.
-``eigenvalue`` sets its operator up once for all the indices.  The caches
-hold only immutable values; ``p1_representatives`` returns a fresh list.
+``eigenvalue`` and ``hecke_image`` (T(ell^i)F at a list of target indices)
+set their operator up once.  The caches hold only immutable values;
+``p1_representatives`` returns a fresh list.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from math import gcd
 from operator import mul
 
 from .arith import _check_ell, _check_prime
-from .qexp import QExpansion, check_index
+from .qexp import QExpansion, _derive, check_index
 from .rep import RepVector, Weight, rep_apply
 
 
@@ -74,9 +75,7 @@ def _xgcd(a, b):
 
 
 def _crt(r1, m1, r2, m2):
-    g, x, _ = _xgcd(m1, m2)
-    assert g == 1
-    return (r1 + (r2 - r1) * x % m2 * m1) % (m1 * m2)
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % (m1 * m2)
 
 
 def p1_classes(ell: int, beta: int):
@@ -338,6 +337,25 @@ def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
     if missing:
         raise HeckeError(f"missing required indices: {sorted(missing)}")
     return img
+
+
+def hecke_image(F: QExpansion, ell: int, i: int, targets,
+                assume_complete: bool = False) -> QExpansion:
+    """T(ell^i)F at the indices ``targets`` (CRT lifts), zero coefficients
+    dropped: the operator is checked, then every target is read and checked,
+    then the operator is set up once.  A target with missing inputs raises
+    what :func:`hecke_coefficient` raises there."""
+    _check_operator(F, ell, i)
+    targets = [check_index(T) for T in targets]
+    op = _operator(F, ell, i, "crt", 0)
+    support = {}
+    for T in targets:
+        missing, img = _coefficient(op, T, assume_complete)
+        if missing:
+            raise HeckeError(f"missing required indices: {sorted(missing)}")
+        if any(img.coords):
+            support[T] = img.coords
+    return _derive(F, F.weight, support)
 
 
 def eigenvalue(F: QExpansion, ell: int, i: int,

@@ -59,20 +59,12 @@ def theta_local(F: Series3, k: int):
     )
 
 
-def _D(F: Series3) -> Series3:
-    """D = d11 d22 - (1/4) d12^2 applied to F."""
-    p = F.p
-    q = _inv(4, p)
+def _D(F: Series3, sign: int = -1) -> Series3:
+    """D = d11 d22 - (1/4) d12^2 applied to F; with ``sign`` = 1, its
+    companion D~ = d11 d22 + (1/4) d12^2."""
     return (F.derivation("t11").derivation("t22")
-            .sub(F.derivation("t12").derivation("t12").scal(q)))
-
-
-def _D_tilde(F: Series3) -> Series3:
-    """The companion operator d11 d22 + (1/4) d12^2."""
-    p = F.p
-    q = _inv(4, p)
-    return (F.derivation("t11").derivation("t22")
-            .add(F.derivation("t12").derivation("t12").scal(q)))
+            .add(F.derivation("t12").derivation("t12")
+                 .scal(sign * _inv(4, F.p))))
 
 
 def big_theta_local_value(F: Series3, k: int) -> int:
@@ -97,7 +89,7 @@ def big_theta_local_value(F: Series3, k: int) -> int:
              .sub(F.derivation("t12").mul(d.derivation("t12")).scal(half))
              .add(F.derivation("t22").mul(d.derivation("t11"))))
     total = (d.mul(_D(F)).scal(two_thirds)
-             .add(F.mul(_D_tilde(d)).scal(c1))
+             .add(F.mul(_D(d, 1)).scal(c1))
              .add(cross.scal(c2)))
     return total.constant_term()
 

@@ -328,9 +328,9 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
       lambda * image modulo the current quotient's relations
       (``("invV", src, depth, quot)`` names them; default none), and the
       result is lambda * (twisted generator);
-    - ``("extract", name)``  express the running vector as
-      lambda * (twisted generator of line ``name``) modulo its relations
-      and record lambda as the accumulated multiplier.
+    - ``("extract", name)``  the inverse of depth 0 through line ``name``
+      modulo its own relations, ``("invV", name, 0, name)``, whose lambda
+      is recorded as the accumulated multiplier.
 
     ``start`` is a pair ``(entries, level)``: a 4-sequence or dict of
     coefficients, twisted by the engine to the level the chase starts at.
@@ -341,12 +341,14 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
     multiplier = None
     for step in word:
         op = step[0]
+        if op == "extract":  # the depth-0 inverse through the line itself
+            step = ("invV", step[1], 0, step[1])
         if op == "F":
             if level < 1:
                 raise StrataError("cannot apply F below level 0")
             vec = model.apply("F", level - 1, vec)
             level -= 1
-        elif op == "invV":
+        elif op in ("invV", "extract"):
             src = line_data[step[1]]
             depth = step[2]
             quot = line_data[step[3]] if len(step) > 3 and step[3] else None
@@ -355,22 +357,16 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
                 raise StrataError("inverse step would go below level 0")
             src_gen = _twist_vec(src.gen, src_level)
             fwd = src_gen
-            lv = src_level
-            for _ in range(depth):
+            for lv in range(src_level, level):
                 fwd = model.apply("V", lv, fwd)
-                lv += 1
             rels = [_twist_vec(r, level) for r in (quot.rels if quot else ())]
             if all(c.is_zero() for c in fwd):
                 raise ChaseError("chase left the line")
             lam = _solve_line(model, [fwd] + rels, vec)
             vec = tuple(c.mul(lam) for c in src_gen)
             level = src_level
-        elif op == "extract":
-            line = line_data[step[1]]
-            gen = _twist_vec(line.gen, level)
-            rels = [_twist_vec(r, level) for r in line.rels]
-            multiplier = _solve_line(model, [gen] + rels, vec)
-            vec = tuple(c.mul(multiplier) for c in gen)
+            if op == "extract":
+                multiplier = lam
         else:
             raise StrataError(f"unknown chase step {op!r}")
     return ChaseResult(vector=vec, level=level, multiplier=multiplier)

@@ -141,10 +141,8 @@ def theta2_iterate_closed(F: QExpansion, m: int = 1) -> QExpansion:
 
 
 def big_theta_composite(F: QExpansion) -> QExpansion:
-    """big_theta(F, 1) computed by the two-step path: scalar theta, then the
-    lowest Pieri component of a second tensor with the index (scaled 1/N)."""
-    G = theta_scalar(F)
-    p = F.p
-    k = F.weight.k1
-    return _build(G, Weight(k + p + 1, k + p + 1), lambda T, vec:
-                  theta_j_coefficient(vec, T, 2, p, F.N, 1).coords)
+    """big_theta(F, 1) computed by the two-step path theta_1(theta_scalar(F)),
+    relabelled from weight (k + 2p, k + 2p) to (k + p + 1, k + p + 1)."""
+    G = theta_j(theta_scalar(F), 1)
+    k = F.weight.k1 + F.p + 1
+    return _derive(G, Weight(k, k), G.support)
