@@ -13,13 +13,17 @@ The Pieri split decomposes V(n, m) tensor V(2, 0) into (up to) three
 components V(n+2, m), V(n, m+1), V(n-2, m+2).  They are the transvectants
 of the Omega-process (Olver, *Classical Invariant Theory*, ch. 5): the
 product, the first transvectant over n+2 and the second over 2n(n+1).
-One projector, :func:`pieri_component`, computes each of them in closed
-form from the tensor's three columns, the V(n, m) vectors paired with
-e1^2, e1 e2 and e2^2; :func:`pieri_split` fills the columns of a tensor
-given as a dict and calls it three times.  For n in {p-2, p-1} only the
-V(n-2, m+2) component is defined.  At n = p-1 its denominator 2n(n+1)
-carries one factor p, which is dropped: the result is the
-characteristic-0 projection times p, reduced mod p.  Reassembly is the
+Their closed forms live in one place, the cached table
+``_pieri_table(n, p, r)``: for each output index, at most three
+(column, source index, weight) triples over the tensor's three columns,
+the V(n, m) vectors paired with e1^2, e1 e2 and e2^2, with the inverse
+denominator folded into the weights.  The projector
+:func:`pieri_component` sums those terms over given columns;
+:func:`pieri_split` fills the columns of a tensor given as a dict and
+calls it three times, and ``theta`` reads the table directly.  For n in
+{p-2, p-1} only the V(n-2, m+2) component is defined.  At n = p-1 its
+denominator 2n(n+1) carries one factor p, which is dropped: the result is
+the characteristic-0 projection times p, reduced mod p.  Reassembly is the
 dual map: polarization of the first component, and multiplication of the
 other two by omega = e1 (x) e2 - e2 (x) e1 and its square.
 """
@@ -27,6 +31,7 @@ other two by omega = e1 (x) e2 - e2 (x) e1 and its square.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import _check_prime
 
@@ -142,10 +147,65 @@ def _check_degree(n: int, p: int) -> None:
         raise ValueError("split undefined at this degree")
 
 
+def _check_component(n: int, p: int, r: int) -> None:
+    _check_degree(n, p)
+    if r not in (0, 1, 2):
+        raise ValueError(f"no Pieri component {r}; choose 0, 1 or 2")
+
+
+def _check_columns(n: int, cols) -> None:
+    if len(cols) != 3 or any(len(c) != n + 1 for c in cols):
+        raise ValueError(f"a tensor of V({n}) (x) V(2) has 3 columns of "
+                         f"length {n + 1}")
+
+
 def has_pieri_component(n: int, p: int, r: int) -> bool:
     """Whether component ``x<r>`` of V(n) (x) V(2) exists at 0 <= n <= p-1:
     x0 needs n <= p-3, x1 needs 1 <= n <= p-3, x2 needs n >= 2."""
     return not (r > n or (r < 2 and n >= p - 2))
+
+
+# Pieri tables of the degrees in use.  A table has one row of at most three
+# small tuples per output index; every (n, r) at p = 11 and 13 takes 72.
+_PIERI_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_PIERI_CACHE_SIZE)
+def _pieri_table(n: int, p: int, r: int) -> tuple | None:
+    """The projector onto component ``x<r>`` of V(n) (x) V(2): for each
+    output index k, the ``(column, source index, weight)`` triples with
+    x<r>[k] = sum of weight * c<column>[source index] mod p.
+
+    The weights are the Omega-process coefficients above over their
+    denominator (1, n+2 or 2n(n+1), with the factor p of n+1 dropped at
+    n = p-1), reduced mod p; terms of weight 0 mod p and source indices
+    outside 0..n are left out.  None where the component does not exist.
+    """
+    _check_component(n, p, r)
+    if not has_pieri_component(n, p, r):
+        return None
+    denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
+    inverse = pow(denominator, p - 2, p)
+
+    def terms(k):
+        if r == 0:
+            return (0, k, 1), (1, k - 1, 1), (2, k - 2, 1)
+        if r == 1:
+            return ((1, k, n - 2 * k), (0, k + 1, -2 * (k + 1)),
+                    (2, k - 1, 2 * (n - k + 1)))
+        return ((0, k + 2, 2 * (k + 2) * (k + 1)),
+                (1, k + 1, -2 * (k + 1) * (n - k - 1)),
+                (2, k, 2 * (n - k) * (n - k - 1)))
+
+    rows = []
+    for k in range(n + 3 - 2 * r):
+        row = []
+        for c, i, w in terms(k):
+            w = w * inverse % p
+            if w and 0 <= i <= n:
+                row.append((c, i, w))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def pieri_component(n: int, p: int, cols, r: int,
@@ -156,28 +216,18 @@ def pieri_component(n: int, p: int, cols, r: int,
     The result lies in V(n+2-2r, m+r).  It is None where the component does
     not exist (:func:`has_pieri_component`).
     """
-    _check_degree(n, p)
-    if r not in (0, 1, 2):
-        raise ValueError(f"no Pieri component {r}; choose 0, 1 or 2")
-    if len(cols) != 3 or any(len(c) != n + 1 for c in cols):
-        raise ValueError(f"a tensor of V({n}) (x) V(2) has 3 columns of "
-                         f"length {n + 1}")
-    if not has_pieri_component(n, p, r):
+    _check_component(n, p, r)
+    _check_columns(n, cols)
+    rows = _pieri_table(n, p, r)
+    if rows is None:
         return None
-    c0, c1, c2 = ([0, 0, *c, 0, 0] for c in cols)  # c[i] at position i + 2
-    if r == 0:
-        out = [c0[k + 2] + c1[k + 1] + c2[k] for k in range(n + 3)]
-    elif r == 1:
-        out = [(n - 2 * k) * c1[k + 2] - 2 * (k + 1) * c0[k + 3]
-               + 2 * (n - k + 1) * c2[k + 1] for k in range(n + 1)]
-    else:
-        out = [2 * (k + 2) * (k + 1) * c0[k + 4]
-               - 2 * (k + 1) * (n - k - 1) * c1[k + 3]
-               + 2 * (n - k) * (n - k - 1) * c2[k + 2] for k in range(n - 1)]
-    # at n = p-1 the factor n+1 = p of 2n(n+1) is dropped
-    denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
-    inverse = pow(denominator, p - 2, p)
-    return RepVector(n + 2 - 2 * r, m + r, tuple(v * inverse % p for v in out))
+    out = []
+    for row in rows:
+        s = 0
+        for c, i, w in row:
+            s += w * cols[c][i]
+        out.append(s % p)
+    return RepVector(n + 2 - 2 * r, m + r, tuple(out))
 
 
 def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:

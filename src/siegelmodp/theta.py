@@ -16,7 +16,12 @@ theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 
 theta_j keeps Pieri component x(3-j) of Sym^n tensor Sym^2, n = k1 - k2,
 and exists exactly where that component does (rep.has_pieri_component).
-Scalar theta is theta_3 on scalar forms.
+It reads that component's cached table in ``rep`` (at most three
+(column, source index, weight) terms per output entry) and builds no
+columns: each output entry is the sum of weight * t[column] * A_F(T)[source]
+with t = T / N.  Scalar theta is theta_3 on scalar forms.  The operators
+that multiply by a power of det T fold its 1/4 into their constant once per
+form.
 
 Characters are unchanged.  Constant prefactors (2/3 for the big operator,
 1/18 in the four-fold closed form) are used exactly as given.  The tests
@@ -27,7 +32,8 @@ closed form; the library does not report it.
 from __future__ import annotations
 
 from .qexp import QExpansion, _derive
-from .rep import RepVector, Weight, has_pieri_component, pieri_component
+from .rep import (RepVector, Weight, _check_columns, _check_component,
+                  _pieri_table, has_pieri_component)
 # theta does not call pieri_split; the benchmark's tracer tests still look
 # it up as theta.pieri_split
 from .rep import pieri_split  # noqa: F401
@@ -35,12 +41,6 @@ from .rep import pieri_split  # noqa: F401
 
 class ThetaError(ValueError):
     pass
-
-
-def _det_index(T, p: int) -> int:
-    """det of the half-integral matrix for T = (a, b, c): (4ac - b^2)/4 mod p."""
-    a, b, c = T
-    return (4 * a * c - b * b) * pow(4, p - 2, p) % p
 
 
 def _require_scalar(F: QExpansion, name: str):
@@ -62,11 +62,15 @@ def _build(F: QExpansion, weight: Weight, coefficient) -> QExpansion:
 
 
 def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:
-    """F with its coefficient at T multiplied by (c det T)^e."""
+    """F with its coefficient at T multiplied by (c det T)^e, where
+    det T = (4ac - b^2)/4 is the determinant of the half-integral matrix of
+    T = (a, b, c); the 1/4 is folded into c once per form."""
     p = F.p
+    c4 = c * pow(4, p - 2, p) % p
 
     def coefficient(T, vec):
-        mult = pow(c * _det_index(T, p) % p, e, p)
+        a, b, cc = T
+        mult = pow(c4 * (4 * a * cc - b * b) % p, e, p)
         return tuple(mult * v % p for v in vec)
     return _build(F, weight, coefficient)
 
@@ -103,14 +107,27 @@ def _check_domain(n: int, p: int, j: int):
 
 def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
     """The coefficient of theta_j(F) at T, given A_F(T) = vec: the Pieri
-    component of f (x) (a X^2 + b XY + c Y^2), f = vec / N, whose columns
-    are a f, b f and c f."""
-    ninv = pow(N % p, p - 2, p)
-    f = [v * ninv % p for v in vec]
-    comp = pieri_component(n, p, [[t * v for v in f] for t in T], 3 - j)
-    if comp is None:
+    component x(3-j) of f (x) (a X^2 + b XY + c Y^2), f = vec / N.  Its
+    columns are a f, b f and c f, so each output entry is the sum of
+    weight * t[column] * vec[source] over a row of the cached table, with
+    t = T / N."""
+    r = 3 - j
+    if len(vec) != n + 1:
+        # refused before any table is built; a bad p, n or j is named first
+        _check_component(n, p, r)
+        _check_columns(n, (vec, vec, vec))
+    rows = _pieri_table(n, p, r)
+    if rows is None:
         raise ThetaError(f"component {j} absent at this weight")
-    return comp
+    ninv = pow(N % p, p - 2, p)
+    t = [x * ninv % p for x in T]
+    out = []
+    for row in rows:
+        s = 0
+        for c, i, w in row:
+            s += w * t[c] * vec[i]
+        out.append(s % p)
+    return RepVector(n + 2 - 2 * r, r, tuple(out))
 
 
 def theta_j(F: QExpansion, j: int) -> QExpansion:

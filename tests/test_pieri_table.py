@@ -1,0 +1,71 @@
+"""theta_j_coefficient reads the cached Pieri table; the linear-algebra
+oracle of ``pieri_oracle`` checks it on the tensor (vec / N) (x) (a X^2 +
+b XY + c Y^2) at every degree and operator where the component exists."""
+
+import random
+
+import pytest
+
+import pieri_oracle
+from siegelmodp import rep
+from siegelmodp.rep import has_pieri_component
+from siegelmodp.theta import theta_j_coefficient
+
+
+def _random_index(rng, p):
+    """(a, b, c) with entries of either sign and any size, zeros included."""
+    return tuple(rng.choice((0, 0, 1, -1, rng.randrange(-3 * p, 3 * p)))
+                 for _ in range(3))
+
+
+def _random_vec(rng, p, n):
+    return tuple(rng.choice((0, rng.randrange(p))) for _ in range(n + 1))
+
+
+def _check_against_oracle(rng, p, n, N):
+    T, vec = _random_index(rng, p), _random_vec(rng, p, n)
+    ninv = pow(N % p, p - 2, p)
+    x = {(i, jj): v * ninv * t for i, v in enumerate(vec)
+         for jj, t in enumerate(T)}
+    want = pieri_oracle.pieri_split(n, p, x)
+    for j in (1, 2, 3):
+        if not has_pieri_component(n, p, 3 - j):
+            continue
+        assert theta_j_coefficient(vec, T, n, p, N, j) == getattr(
+            want, f"x{3 - j}"), (p, n, N, j, T, vec)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_theta_j_coefficient_matches_the_oracle(p):
+    rng = random.Random(300 + p)
+    for n in range(p):
+        for N in (1, 2, 3, 4 * p + 1):
+            for _ in range(3):
+                _check_against_oracle(rng, p, n, N)
+
+
+def test_theta_j_coefficient_matches_the_oracle_at_a_large_prime():
+    p = 10 ** 9 + 7
+    rng = random.Random(17)
+    for n in (0, 1, 2, 3, 6):
+        for N in (1, 5, p + 2):
+            _check_against_oracle(rng, p, n, N)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_table_rows_hold_at_most_three_nonzero_terms(p):
+    for n in range(p):
+        for r in range(3):
+            rows = rep._pieri_table(n, p, r)
+            if not has_pieri_component(n, p, r):
+                assert rows is None
+                continue
+            assert len(rows) == n + 3 - 2 * r
+            for row in rows:
+                assert len(row) <= 3
+                for c, i, w in row:
+                    assert c in (0, 1, 2) and 0 <= i <= n and 0 < w < p
+
+
+def test_the_table_cache_is_bounded_by_its_module_constant():
+    assert rep._pieri_table.cache_info().maxsize == rep._PIERI_CACHE_SIZE

@@ -150,9 +150,11 @@ def test_pieri_errors():
      "3 columns of length 3"),
     (lambda: pieri_component(3, 5, ([0] * 4,) * 2, 0),
      "3 columns of length 4"),
+    (lambda: pieri_component(10 ** 7, 10 ** 9 + 7, [], 1),
+     "3 columns of length 10000001"),
 ], ids=["split_huge_n", "split_negative_n", "component_huge_n", "r=-1",
         "r=3", "short_column", "two_columns", "four_columns",
-        "absent_component"])
+        "absent_component", "no_columns_at_a_large_degree"])
 def test_projector_refuses_before_it_allocates(call, message):
     start = time.perf_counter()
     with pytest.raises(ValueError, match=message):

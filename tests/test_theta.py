@@ -159,6 +159,10 @@ def test_theta_j_coefficient_refuses_a_vec_of_the_wrong_length():
     with pytest.raises(ValueError, match="split undefined"):
         theta_j_coefficient((1,), (1, 0, 1), 10 ** 12, 7, 3, 2)
     assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="3 columns of length 10000001"):
+        theta_j_coefficient((1,), (1, 0, 1), 10 ** 7, 10 ** 9 + 7, 3, 1)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_theta_j_domain_check_allocates_nothing_of_size_n():
