@@ -41,7 +41,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-# Each form, theta coefficient and rep_apply re-checks its p: keep the answers.
+# Each form, Pieri projection and rep_apply re-checks its p: keep the answers.
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every n < 3.3e24.

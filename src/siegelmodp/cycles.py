@@ -41,7 +41,6 @@ class CycleReport:
     kind: str                 # "scalar" | "vector"
     ordinary: bool            # semi-ordinary flag
     entries: tuple            # weights; strings when symbolic
-    low_points: tuple = ()    # (position, type, c_i, b_i)
     symbolic: bool = False
     branch: int = 0
     alternatives: tuple = ()  # entry tuples of the unchosen branches
@@ -52,7 +51,7 @@ class CycleReport:
         return {
             "p": self.p, "start_weight": self.start_weight, "kind": self.kind,
             "semi_ordinary": self.ordinary, "entries": list(self.entries),
-            "low_points": [list(lp) for lp in self.low_points],
+            "low_points": [],
             "symbolic": self.symbolic, "branch": self.branch,
             "alternatives": [list(a) for a in self.alternatives],
             "overlap": list(self.overlap), "notes": self.notes,

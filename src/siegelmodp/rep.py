@@ -13,8 +13,8 @@ The Pieri split decomposes V(n, m) tensor V(2, 0) into (up to) three
 components V(n+2, m), V(n, m+1), V(n-2, m+2).  They are the transvectants
 of the Omega-process (Olver, *Classical Invariant Theory*, ch. 5): the
 product, the first transvectant over n+2 and the second over 2n(n+1).
-Their closed forms live in one place, the cached table
-``_pieri_table(n, p, r)``: for each output index, at most three
+Their closed forms live in one place, the table ``_pieri_table(n, p, r)``,
+which keeps only the last one built: for each output index, at most three
 (column, source index, weight) triples over the tensor's three columns,
 the V(n, m) vectors paired with e1^2, e1 e2 and e2^2, with the inverse
 denominator folded into the weights.  The projector
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 from .arith import _check_prime
 
@@ -108,7 +109,6 @@ def rep_apply(weight: Weight, g, v: RepVector, p: int) -> RepVector:
 def _binomial_expand(a, c, e1, b, d, e2, p):
     """Coefficients on u_j of (a e1 + c e2)^e1exp * (b e1 + d e2)^e2exp."""
     # first factor: sum_k C(e1,k) a^(e1-k) c^k  e1^(e1-k) e2^k
-    from math import comb
     out = [0] * (e1 + e2 + 1)
     for k in range(e1 + 1):
         f1 = comb(e1, k) * pow(a % p, e1 - k, p) * pow(c % p, k, p) % p
@@ -165,12 +165,7 @@ def has_pieri_component(n: int, p: int, r: int) -> bool:
     return not (r > n or (r < 2 and n >= p - 2))
 
 
-# Pieri tables of the degrees in use.  A table has one row of at most three
-# small tuples per output index; every (n, r) at p = 11 and 13 takes 72.
-_PIERI_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=_PIERI_CACHE_SIZE)
+@lru_cache(maxsize=1)
 def _pieri_table(n: int, p: int, r: int) -> tuple | None:
     """The projector onto component ``x<r>`` of V(n) (x) V(2): for each
     output index k, the ``(column, source index, weight)`` triples with
@@ -180,31 +175,33 @@ def _pieri_table(n: int, p: int, r: int) -> tuple | None:
     denominator (1, n+2 or 2n(n+1), with the factor p of n+1 dropped at
     n = p-1), reduced mod p; terms of weight 0 mod p and source indices
     outside 0..n are left out.  None where the component does not exist.
+    Only the last table is kept: theta_j reads one (n, p, r) per form.
     """
     _check_component(n, p, r)
     if not has_pieri_component(n, p, r):
         return None
     denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
     inverse = pow(denominator, p - 2, p)
-
-    def terms(k):
-        if r == 0:
-            return (0, k, 1), (1, k - 1, 1), (2, k - 2, 1)
-        if r == 1:
-            return ((1, k, n - 2 * k), (0, k + 1, -2 * (k + 1)),
-                    (2, k - 1, 2 * (n - k + 1)))
-        return ((0, k + 2, 2 * (k + 2) * (k + 1)),
-                (1, k + 1, -2 * (k + 1) * (n - k - 1)),
-                (2, k, 2 * (n - k) * (n - k - 1)))
-
-    rows = []
-    for k in range(n + 3 - 2 * r):
-        row = []
-        for c, i, w in terms(k):
-            w = w * inverse % p
-            if w and 0 <= i <= n:
-                row.append((c, i, w))
-        rows.append(tuple(row))
+    # each weight is a unit mod p and each source lies in 0..n, except in
+    # the rows of ``edges`` (n - 2k of x1 vanishes at k = n/2)
+    if r == 0:
+        rows = [((0, k, 1), (1, k - 1, 1), (2, k - 2, 1))
+                for k in range(n + 3)]
+        edges = (0, 1, n + 1, n + 2)
+    elif r == 1:
+        rows = [((1, k, (n - 2 * k) * inverse % p),
+                 (0, k + 1, -2 * (k + 1) * inverse % p),
+                 (2, k - 1, 2 * (n - k + 1) * inverse % p))
+                for k in range(n + 1)]
+        edges = (0, n // 2, n)
+    else:
+        rows = [((0, k + 2, 2 * (k + 2) * (k + 1) * inverse % p),
+                 (1, k + 1, -2 * (k + 1) * (n - k - 1) * inverse % p),
+                 (2, k, 2 * (n - k) * (n - k - 1) * inverse % p))
+                for k in range(n - 1)]
+        edges = ()
+    for k in edges:
+        rows[k] = tuple(t for t in rows[k] if t[2] and 0 <= t[1] <= n)
     return tuple(rows)
 
 

@@ -16,7 +16,7 @@ theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 
 theta_j keeps Pieri component x(3-j) of Sym^n tensor Sym^2, n = k1 - k2,
 and exists exactly where that component does (rep.has_pieri_component).
-It reads that component's cached table in ``rep`` (at most three
+It reads that component's table in ``rep`` (at most three
 (column, source index, weight) terms per output entry) and builds no
 columns: each output entry is the sum of weight * t[column] * A_F(T)[source]
 with t = T / N.  Scalar theta is theta_3 on scalar forms.  The operators
@@ -109,16 +109,18 @@ def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
     """The coefficient of theta_j(F) at T, given A_F(T) = vec: the Pieri
     component x(3-j) of f (x) (a X^2 + b XY + c Y^2), f = vec / N.  Its
     columns are a f, b f and c f, so each output entry is the sum of
-    weight * t[column] * vec[source] over a row of the cached table, with
+    weight * t[column] * vec[source] over a row of the Pieri table, with
     t = T / N."""
+    if j not in (1, 2, 3):
+        _check_domain(n, p, j)
     r = 3 - j
     if len(vec) != n + 1:
-        # refused before any table is built; a bad p, n or j is named first
+        # refused before any table is built; a bad p or n is named first
         _check_component(n, p, r)
         _check_columns(n, (vec, vec, vec))
     rows = _pieri_table(n, p, r)
     if rows is None:
-        raise ThetaError(f"component {j} absent at this weight")
+        _check_domain(n, p, j)
     ninv = pow(N % p, p - 2, p)
     t = [x * ninv % p for x in T]
     out = []

@@ -57,6 +57,7 @@ def test_cycle_vector_json(capsys):
                 "--non-semi-ordinary"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["entries"] == [12, 17, 22, 7]
+    assert data["low_points"] == []
 
 
 def test_cycle_requires_one_mode(capsys):

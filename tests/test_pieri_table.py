@@ -1,15 +1,17 @@
-"""theta_j_coefficient reads the cached Pieri table; the linear-algebra
+"""theta_j_coefficient reads the Pieri table; the linear-algebra
 oracle of ``pieri_oracle`` checks it on the tensor (vec / N) (x) (a X^2 +
 b XY + c Y^2) at every degree and operator where the component exists."""
 
 import random
+import tracemalloc
 
 import pytest
 
 import pieri_oracle
 from siegelmodp import rep
-from siegelmodp.rep import has_pieri_component
-from siegelmodp.theta import theta_j_coefficient
+from siegelmodp.qexp import QExpansion
+from siegelmodp.rep import Weight, has_pieri_component
+from siegelmodp.theta import theta_j, theta_j_coefficient
 
 
 def _random_index(rng, p):
@@ -67,5 +69,21 @@ def test_table_rows_hold_at_most_three_nonzero_terms(p):
                     assert c in (0, 1, 2) and 0 <= i <= n and 0 < w < p
 
 
-def test_the_table_cache_is_bounded_by_its_module_constant():
-    assert rep._pieri_table.cache_info().maxsize == rep._PIERI_CACHE_SIZE
+def test_a_theta_1_chain_holds_one_table():
+    """Each theta_1 step lowers n by 2, so its table is never read again;
+    ten steps from n = 1008 keep one table (about 0.5 MB), not ten."""
+    p = 1009
+    rng = random.Random(35)
+    vec = tuple(rng.randrange(1, p) for _ in range(p))
+    G = QExpansion(p=p, N=3, weight=Weight(p + 3, 4),
+                   support={(1, 1, 1): vec})
+    rep._pieri_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            G = theta_j(G, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert G.weight.n == p - 21 and G.support
+    assert held < 1.5e6, held

@@ -165,6 +165,23 @@ def test_theta_j_coefficient_refuses_a_vec_of_the_wrong_length():
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("j", [0, 4, -1])
+def test_theta_j_coefficient_refuses_j_as_theta_j_does(j):
+    for vec in ((1, 2, 3), (1,)):
+        with pytest.raises(ThetaError, match=r"^j must be 1, 2 or 3$"):
+            theta_j_coefficient(vec, (1, 0, 1), 2, 7, 3, j)
+
+
+def test_theta_j_coefficient_names_an_absent_component_as_theta_j_does():
+    with pytest.raises(ThetaError) as got:
+        theta_j_coefficient((1,) * 7, (1, 0, 1), 6, 7, 3, 3)
+    with pytest.raises(ThetaError) as want:
+        theta_j(mk(7, 3, (10, 4), {}), 3)
+    assert str(got.value) == str(want.value) == (
+        "theta_3 is undefined at k1-k2=6, p=7: Sym^6 (x) Sym^2 has no "
+        "Pieri component x0 there")
+
+
 def test_theta_j_domain_check_allocates_nothing_of_size_n():
     """theta_j learns whether its component exists without building a
     tensor of the weight's n + 1 coordinates (here 400,001)."""
