@@ -16,8 +16,8 @@ T' = ell^alpha * (a_U ell^(-beta-gamma), b_U ell^(-gamma), c_U ell^(beta-gamma))
 R(ell^beta) is a set of determinant-1 integer matrices, congruent to the
 identity mod N, whose first rows enumerate P^1(Z/ell^beta).
 
-ell is checked by ``arith._check_ell``, the rule that ``galois`` shares: a
-prime below the bound of the primality test, else :class:`HeckeError`.
+One rule, :func:`_check_lifts`, admits (ell, i, N) for the operators and the
+public lift builders alike, before a lift is built, else :class:`HeckeError`.
 
 The ell-exponents are always taken at the expansion's own weight.  Each
 coefficient enumerates its branches once, with the caller's lift scheme: the
@@ -25,15 +25,11 @@ completeness check reads the indices T' of exactly the branches that the sum
 uses, so an absent input is an error, never a silent zero.
 
 The parts of the sum that do not depend on F or T are built once per
-operator and kept in two small LRU caches.  The lift table of (ell, i, N,
-scheme, seed) holds, for each lift U of R(ell^beta), beta <= i, the nine
-products that make U T tU linear in T and the powers of ell of the gamma
-filter and of T'; one enumerator reads it for the sum and for
-``required_indices``.  The plan, keyed by n and p as well, holds each lift's
-ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of columns.
-``eigenvalue`` and ``hecke_image`` (T(ell^i)F at a list of target indices)
-set their operator up once.  The caches hold only immutable values;
-``p1_representatives`` returns a fresh list.
+operator and kept in two small LRU caches of immutable values: the lift
+table of :func:`_lifts`, which one enumerator reads for the sum and for
+``required_indices``, and the plan of :func:`_plan`.  ``eigenvalue`` and
+``hecke_image`` (T(ell^i)F at a list of target indices) set their operator
+up once; ``p1_representatives`` returns a fresh list.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from math import gcd
 from operator import mul
 
 from .arith import _check_ell, _check_prime
-from .qexp import QExpansion, _derive, check_index
+from .qexp import QExpansion, _check_level, _derive, check_index
 from .rep import RepVector, Weight, rep_apply
 
 
@@ -112,10 +108,16 @@ def _complete_matrix(u1: int, u2: int, N: int, rng) -> tuple:
 _MAX_LIFTS = 100
 
 
-def _check_lifts(ell: int, i: int) -> None:
-    """Refuse T(ell^i) before a lift is built if its plan would hold more
-    than _MAX_LIFTS lifts.  The plan of T(ell^beta), beta <= i, is no
-    larger, so every lift of an admitted operator is admitted too."""
+def _check_lifts(ell: int, i: int, N: int) -> None:
+    """The one rule for T(ell^i) at level N: ell prime, i >= 0, N >= 3,
+    gcd(ell, N) = 1 and at most _MAX_LIFTS lifts.  T(ell^beta), beta <= i,
+    has no more, so every lift of an admitted operator is admitted too."""
+    _check_ell(ell, HeckeError)
+    if i < 0:
+        raise HeckeError(f"power i must be >= 0, got {i}")
+    _check_level(N, HeckeError)
+    if gcd(ell, N) != 1:
+        raise HeckeError("ell must be coprime to the level")
     lifts, power = 1, 1
     for _ in range(i):  # stops as soon as the count passes the bound
         lifts += ell * power + power
@@ -133,13 +135,10 @@ def p1_representatives(ell: int, beta: int, N: int,
     "random" (randomized lifts, for representative-independence tests).
     It refuses the lifts of a beta whose T(ell^beta) the operators refuse.
     """
-    _check_ell(ell, HeckeError)
-    if gcd(ell, N) != 1:
-        raise HeckeError("ell must be coprime to the level")
+    _check_lifts(ell, beta, N)
     if scheme not in ("crt", "random"):
         raise HeckeError(f"unknown lift scheme {scheme!r}; "
                          "choose 'crt' or 'random'")
-    _check_lifts(ell, beta)
     rng = random.Random(seed) if scheme == "random" else None
     q = ell ** beta
     out = []
@@ -224,8 +223,7 @@ def _branches(lifts: tuple, T):
 
 def required_indices(ell: int, i: int, T, N: int) -> set:
     """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
-    _check_ell(ell, HeckeError)
-    _check_lifts(ell, i)
+    _check_lifts(ell, i, N)
     return {T2 for *_, T2 in _branches(_lifts(ell, i, N, "crt", 0),
                                        check_index(T))}
 
@@ -242,18 +240,14 @@ _MAX_N = 100
 
 
 def _check_operator(F: QExpansion, ell: int, i: int) -> None:
-    """Reject T(ell^i) unless i >= 0, ell is a prime coprime to p and the
-    level, k1 - k2 <= _MAX_N and the plan has at most _MAX_LIFTS lifts
-    (:func:`_check_lifts`)."""
-    _check_ell(ell, HeckeError)
-    if i < 0:
-        raise HeckeError(f"power i must be >= 0, got {i}")
-    if ell % F.p == 0 or gcd(ell, F.N) != 1:
+    """Reject T(ell^i) on F unless :func:`_check_lifts` admits it at F's
+    level, ell is coprime to p and k1 - k2 <= _MAX_N."""
+    _check_lifts(ell, i, F.N)
+    if ell % F.p == 0:
         raise HeckeError("ell must be coprime to p and the level")
     if F.weight.n > _MAX_N:
         raise HeckeError(f"Hecke operators run at k1-k2 <= {_MAX_N}, "
                          f"got {F.weight.n}")
-    _check_lifts(ell, i)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)

@@ -58,6 +58,12 @@ def check_index(T) -> tuple:
     return index
 
 
+def _check_level(N: int, error) -> None:
+    """The one lower bound on a level, shared with ``hecke``: N >= 3."""
+    if N < 3:
+        raise error("level N must be >= 3")
+
+
 @dataclass(frozen=True)
 class QExpansion:
     p: int
@@ -69,8 +75,7 @@ class QExpansion:
 
     def __post_init__(self):
         _check_prime(self.p, QExpError)
-        if self.N < 3:
-            raise QExpError("level N must be >= 3")
+        _check_level(self.N, QExpError)
         if gcd(self.N, self.p) != 1:
             raise QExpError("level must be coprime to p")
         p, width = self.p, self.weight.n + 1

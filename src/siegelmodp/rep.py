@@ -205,12 +205,11 @@ def _pieri_table(n: int, p: int, r: int) -> tuple | None:
     return tuple(rows)
 
 
-def pieri_component(n: int, p: int, cols, r: int,
-                    m: int = 0) -> RepVector | None:
+def pieri_component(n: int, p: int, cols, r: int) -> RepVector | None:
     """Component ``x<r>`` (r = 0, 1 or 2) of c0 (x) X^2 + c1 (x) XY + c2 (x) Y^2
-    in V(n, m) tensor V(2, 0), given the columns ``cols = (c0, c1, c2)``.
+    in V(n, 0) tensor V(2, 0), given the columns ``cols = (c0, c1, c2)``.
 
-    The result lies in V(n+2-2r, m+r).  It is None where the component does
+    The result lies in V(n+2-2r, r).  It is None where the component does
     not exist (:func:`has_pieri_component`).
     """
     _check_component(n, p, r)
@@ -224,11 +223,11 @@ def pieri_component(n: int, p: int, cols, r: int,
         for c, i, w in row:
             s += w * cols[c][i]
         out.append(s % p)
-    return RepVector(n + 2 - 2 * r, m + r, tuple(out))
+    return RepVector(n + 2 - 2 * r, r, tuple(out))
 
 
-def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
-    """Split x in V(n, m) tensor V(2, 0) into its (up to three) components.
+def pieri_split(n: int, p: int, x: dict) -> PieriSplit:
+    """Split x in V(n, 0) tensor V(2, 0) into its (up to three) components.
 
     ``x`` maps pairs ``(i, j)``, for u_i tensor e1^(2-j) e2^j, to integers.
     Each component is :func:`pieri_component` of the columns of x, None
@@ -240,7 +239,7 @@ def pieri_split(n: int, p: int, x: dict, m: int = 0) -> PieriSplit:
         if not (0 <= i <= n and 0 <= j <= 2):
             raise ValueError(f"tensor index {(i, j)} out of range for n={n}")
         cols[j][i] = c
-    return PieriSplit(*(pieri_component(n, p, cols, r, m) for r in range(3)))
+    return PieriSplit(*(pieri_component(n, p, cols, r) for r in range(3)))
 
 
 def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:

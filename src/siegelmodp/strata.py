@@ -58,8 +58,7 @@ class ElementarySequence:
     a = property(lambda self: 2 - self.phi[1])  # a-number, 2 - phi(2)
 
     def __post_init__(self):
-        if self.phi not in PHI_VALUES:
-            raise StrataError(f"phi must be one of {PHI_VALUES}, got {self.phi}")
+        _check_phi(self.phi)
 
 
 @dataclass(frozen=True)
@@ -131,6 +130,11 @@ _STRATA = {
 PHI_VALUES = tuple(_STRATA)
 
 
+def _check_phi(phi) -> None:
+    if phi not in PHI_VALUES:
+        raise StrataError(f"phi must be one of {PHI_VALUES}, got {phi}")
+
+
 def eo_tables() -> dict:
     """The printed stratum data, keyed by phi."""
     return {phi: StratumRecord(phi, ElementarySequence(phi, f),
@@ -157,8 +161,7 @@ def _mat_preimage(M, space, p):
 
 def _point_model(phi):
     """The point model (V, F) of the stratum phi."""
-    if phi not in PHI_VALUES:
-        raise StrataError(f"phi must be one of {PHI_VALUES}, got {phi}")
+    _check_phi(phi)
     return _STRATA[phi][3]
 
 
@@ -490,8 +493,7 @@ def partial_hasse_order(phi, p: int, variant: int | None = None,
     phi = tuple(phi)
     if phi == (0, 0):
         raise StrataError("no partial Hasse invariant on the superspecial stratum")
-    if phi not in PHI_VALUES:
-        raise StrataError(f"phi must be one of {PHI_VALUES}, got {phi}")
+    _check_phi(phi)
     try:
         case = HASSE_CASES[phi, variant]
     except (KeyError, TypeError):

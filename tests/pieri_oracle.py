@@ -189,7 +189,7 @@ def _to_internal(x, n):
     return {(n - i, 2 - j): c for (i, j), c in x.items()}
 
 
-def pieri_split(n, p, x, m=0):
+def pieri_split(n, p, x):
     """Reference for :func:`siegelmodp.rep.pieri_split`."""
     if n < 0:
         raise ValueError("negative symmetric degree")
@@ -202,7 +202,7 @@ def pieri_split(n, p, x, m=0):
             c = target.get(key, 0) % p
             for r, val in r_entries.items():
                 comp[r] = (comp[r] + c * val) % p
-        x2 = RepVector(n - 2, m + 2, tuple(comp))
+        x2 = RepVector(n - 2, 2, tuple(comp))
         return PieriSplit(None, None, x2)
     cols, labels = _split_matrix(n, p)
     dim_keys = [(i, j) for i in range(n + 1) for j in range(3)]
@@ -210,9 +210,9 @@ def pieri_split(n, p, x, m=0):
     out = {0: [0] * (n + 3), 1: [0] * (n + 1), 2: [0] * max(n - 1, 0)}
     for (j, i), val in zip(labels, sol):
         out[j][i] = val % p
-    x0 = RepVector(n + 2, m, tuple(out[0]))
-    x1 = RepVector(n, m + 1, tuple(out[1])) if n >= 1 else None
-    x2 = RepVector(n - 2, m + 2, tuple(out[2])) if n >= 2 else None
+    x0 = RepVector(n + 2, 0, tuple(out[0]))
+    x1 = RepVector(n, 1, tuple(out[1])) if n >= 1 else None
+    x2 = RepVector(n - 2, 2, tuple(out[2])) if n >= 2 else None
     return PieriSplit(x0, x1, x2)
 
 

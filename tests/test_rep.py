@@ -195,12 +195,12 @@ def test_pieri_matches_linear_algebra_oracle(p):
         tensors += [{(i, j): rng.randrange(-p, 2 * p) for i in dims
                      for j in range(3)} for _ in range(4)]
         for x in tensors:
-            split = _outcome(pieri_split, n, p, x, 1)
-            want = _outcome(pieri_oracle.pieri_split, n, p, x, 1)
+            split = _outcome(pieri_split, n, p, x)
+            want = _outcome(pieri_oracle.pieri_split, n, p, x)
             assert split == want, (p, n, x)
             cols = [[x.get((i, j), 0) for i in dims] for j in range(3)]
             for r in range(3):
-                assert (_outcome(pieri_component, n, p, cols, r, 1)
+                assert (_outcome(pieri_component, n, p, cols, r)
                         == (want if want is ValueError
                             else getattr(want, f"x{r}"))), (p, n, r, x)
             if split is ValueError:
