@@ -182,16 +182,8 @@ def _cmd_strata_order(args) -> int:
 
 def _cmd_strata_tables(args) -> int:
     from . import strata
-    out = {}
-    for phi, rec in strata.eo_tables().items():
-        ct = rec.canonical
-        out[f"{phi[0]},{phi[1]}"] = {
-            "f": rec.elementary.f, "a": rec.elementary.a,
-            "psi": list(rec.final.psi),
-            "s": ct.s, "r": ct.r, "rho": list(ct.rho), "v": list(ct.v),
-            "fmap": list(ct.f), "pi": list(ct.pi), "n": ct.n,
-        }
-    _emit(out)
+    _emit({f"{phi[0]},{phi[1]}": rec.to_json()
+           for phi, rec in strata.eo_tables().items()})
     return 0
 
 

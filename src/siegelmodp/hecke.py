@@ -109,9 +109,12 @@ _MAX_LIFTS = 100
 
 
 def _check_lifts(ell: int, i: int, N: int) -> None:
-    """The one rule for T(ell^i) at level N: ell prime, i >= 0, N >= 3,
-    gcd(ell, N) = 1 and at most _MAX_LIFTS lifts.  T(ell^beta), beta <= i,
-    has no more, so every lift of an admitted operator is admitted too."""
+    """The one rule for T(ell^i) at level N: ints (no bool), ell prime,
+    i >= 0, N >= 3, gcd(ell, N) = 1, at most _MAX_LIFTS lifts.  Every lift
+    T(ell^beta), beta <= i, of an admitted operator is admitted too."""
+    for name, value in (("ell", ell), ("i", i), ("N", N)):
+        if type(value) is not int:
+            raise HeckeError(f"{name} must be an int, got {value!r}")
     _check_ell(ell, HeckeError)
     if i < 0:
         raise HeckeError(f"power i must be >= 0, got {i}")
@@ -244,7 +247,7 @@ def _check_operator(F: QExpansion, ell: int, i: int) -> None:
     level, ell is coprime to p and k1 - k2 <= _MAX_N."""
     _check_lifts(ell, i, F.N)
     if ell % F.p == 0:
-        raise HeckeError("ell must be coprime to p and the level")
+        raise HeckeError("ell must be coprime to p")
     if F.weight.n > _MAX_N:
         raise HeckeError(f"Hecke operators run at k1-k2 <= {_MAX_N}, "
                          f"got {F.weight.n}")

@@ -3,10 +3,11 @@ filtrations, and vanishing orders of partial Hasse invariants.
 
 The four strata are labelled by elementary sequences phi in
 {(0,0), (0,1), (1,1), (1,2)}.  One table row per stratum holds its printed
-data (multiplicity f, final sequence psi, canonical type (rho, v, f, pi, n);
-the a-number is 2 - phi(2)), read by :func:`eo_tables`, and its rank-4 mod-p
-point model, from which :func:`canonical_filtration_compute` recomputes the
-canonical type.  One row of :data:`HASSE_CASES` per partial Hasse invariant
+data (f, psi, canonical type) and its rank-4 mod-p point model;
+:func:`eo_tables` gives a :class:`StratumRecord` per row, whose ``to_json``
+is what ``strata tables`` prints (the table's own checks are in ``tests/``),
+and :func:`canonical_filtration_compute` recomputes the canonical type from
+the point model.  One row of :data:`HASSE_CASES` per partial Hasse invariant
 (phi, variant) holds its closed-form order, default cutoff, deformed model
 and the words of a semilinear chase engine over truncated (Laurent) series
 in one deformation parameter t; :func:`partial_hasse_order` runs them and
@@ -52,30 +53,6 @@ class ChaseError(StrataError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ElementarySequence:
-    phi: tuple
-    f: int      # multiplicity weight of the stratum
-    a = property(lambda self: 2 - self.phi[1])  # a-number, 2 - phi(2)
-
-    def __post_init__(self):
-        _check_phi(self.phi)
-
-
-@dataclass(frozen=True)
-class FinalSequence:
-    psi: tuple  # (psi(1), ..., psi(4))
-
-    def __post_init__(self):
-        psi = self.psi
-        if len(psi) != 4 or psi[3] != 2:
-            raise StrataError("final sequence must have length 4 and psi(4)=2")
-        # duality: psi(4-i) = psi(i) + 2 - i for i = 1, 2, 3
-        for i in (1, 2, 3):
-            if psi[4 - i - 1] != psi[i - 1] + 2 - i:
-                raise StrataError("final sequence violates the duality relation")
-
-
-@dataclass(frozen=True)
 class CanonicalType:
     s: int
     r: int
@@ -95,10 +72,18 @@ class CanonicalType:
 
 @dataclass(frozen=True)
 class StratumRecord:
+    """One row of :func:`eo_tables`, printed by ``strata tables``."""
     phi: tuple
-    elementary: ElementarySequence
-    final: FinalSequence
+    f: int      # multiplicity weight of the stratum
+    psi: tuple  # final sequence (psi(1), ..., psi(4))
     canonical: CanonicalType
+    a = property(lambda self: 2 - self.phi[1])  # a-number, 2 - phi(2)
+
+    def to_json(self) -> dict:
+        ct = self.canonical
+        return {"f": self.f, "a": self.a, "psi": list(self.psi),
+                "s": ct.s, "r": ct.r, "rho": list(ct.rho), "v": list(ct.v),
+                "fmap": list(ct.f), "pi": list(ct.pi), "n": ct.n}
 
 
 # phi -> (f, psi, canonical type, point model (V, F)): the printed data of
@@ -137,8 +122,7 @@ def _check_phi(phi) -> None:
 
 def eo_tables() -> dict:
     """The printed stratum data, keyed by phi."""
-    return {phi: StratumRecord(phi, ElementarySequence(phi, f),
-                               FinalSequence(psi), ct)
+    return {phi: StratumRecord(phi, f, psi, ct)
             for phi, (f, psi, ct, _) in _STRATA.items()}
 
 

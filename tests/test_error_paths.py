@@ -42,7 +42,7 @@ CASES = [
      lambda: hecke.eigenvalue(form(), 3, 1), "ell must be coprime to the level"),
     ("hecke", hecke.HeckeError,
      lambda: hecke.eigenvalue(form(), 5, 1),
-     "ell must be coprime to p and the level"),
+     "ell must be coprime to p"),
     ("rep", ValueError,
      lambda: rep.rep_apply(Weight(4, 2), ((1, 0), (0, 1)),
                            RepVector(1, 0, (1, 1)), 5),
@@ -117,3 +117,19 @@ ENTRY_POINTS = {
 def test_every_hecke_entry_point_refuses_alike(entry, ell, i, message):
     with pytest.raises(hecke.HeckeError, match=f"^{re.escape(message)}$"):
         ENTRY_POINTS[entry](ell, i)
+
+
+# ell, i and N must be ints: a float or a bool is refused by name before
+# gcd or range reads it
+NOT_INTS = [("required_indices", (2.0, 1, 3), "ell must be an int, got 2.0"),
+            ("required_indices", (2, 1.5, 3), "i must be an int, got 1.5"),
+            ("required_indices", (2, 1, 3.0), "N must be an int, got 3.0"),
+            ("p1_representatives", (2.0, 1, 3), "ell must be an int, got 2.0"),
+            ("required_indices", (2, True, 3), "i must be an int, got True")]
+
+
+@pytest.mark.parametrize("builder, args, message", NOT_INTS,
+                         ids=[f"{b}{args}" for b, args, _ in NOT_INTS])
+def test_lift_builders_refuse_what_is_not_an_int(builder, args, message):
+    with pytest.raises(hecke.HeckeError, match=f"^{re.escape(message)}$"):
+        LIFT_BUILDERS[builder](*args)

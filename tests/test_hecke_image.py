@@ -150,7 +150,7 @@ def test_a_bad_operator_is_reported_before_a_malformed_targets_file(
     code, out = hecke_cli(tmp_path, 5, targets)
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == \
-        "ell must be coprime to p and the level\n"
+        "ell must be coprime to p\n"
 
 
 def test_a_bad_operator_is_reported_before_a_missing_targets_file(
@@ -158,7 +158,7 @@ def test_a_bad_operator_is_reported_before_a_missing_targets_file(
     code, out = hecke_cli(tmp_path, 5, tmp_path / "absent.txt")
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err == \
-        "ell must be coprime to p and the level\n"
+        "ell must be coprime to p\n"
 
 
 def test_a_malformed_line_after_a_valid_one_writes_nothing(tmp_path, capsys):

@@ -6,11 +6,11 @@ import pytest
 
 from siegelmodp.arith import Series1, all_zetas
 from siegelmodp.strata import (HASSE_CASES, PHI_VALUES, CanonicalType,
-                               ChaseError, ElementarySequence, FinalSequence,
-                               StrataError, _mat_image, _mat_preimage,
-                               canonical_filtration_compute, chase, eo_tables,
-                               model_0_1, model_1_1, partial_hasse_order,
-                               partial_hasse_report, zeta_independent)
+                               ChaseError, StrataError, _mat_image,
+                               _mat_preimage, canonical_filtration_compute,
+                               chase, eo_tables, model_0_1, model_1_1,
+                               partial_hasse_order, partial_hasse_report,
+                               zeta_independent)
 from strata_oracle import adjunction_holds, point_model_products_vanish
 
 
@@ -18,19 +18,24 @@ def test_eo_tables_printed_data():
     tabs = eo_tables()
     assert set(tabs) == set(PHI_VALUES)
     rec = tabs[(0, 1)]
-    assert rec.elementary.f == 0 and rec.elementary.a == 1
-    assert rec.final.psi == (0, 1, 1, 2)
+    assert rec.f == 0 and rec.a == 1
+    assert rec.psi == (0, 1, 1, 2)
     assert rec.canonical.pi == (2, 0, 3, 1) and rec.canonical.n == 4
     assert tabs[(1, 2)].canonical.n == 1
-    assert tabs[(0, 0)].elementary.a == 2
+    assert tabs[(0, 0)].a == 2
     assert tabs[(1, 1)].canonical.pi == (0, 2, 1, 3)
 
 
 def test_record_invariants():
-    with pytest.raises(StrataError):
-        ElementarySequence((2, 2), 0)  # phi must name a stratum
-    with pytest.raises(StrataError):
-        FinalSequence((0, 1, 2, 2))  # duality violated
+    # each row of the table: phi names a stratum, and psi has length 4,
+    # psi(4) = 2 and the duality psi(4 - i) = psi(i) + 2 - i, i = 1, 2, 3
+    for phi, rec in eo_tables().items():
+        assert rec.phi == phi and phi in PHI_VALUES
+        assert len(rec.psi) == 4 and rec.psi[3] == 2
+        for i in (1, 2, 3):
+            assert rec.psi[3 - i] == rec.psi[i - 1] + 2 - i
+    with pytest.raises(StrataError, match="^phi must be one of"):
+        canonical_filtration_compute((2, 2), 5)
     with pytest.raises(StrataError):
         CanonicalType(2, 1, (0, 2, 4), (0, 0, 1), (1, 2, 2), (0, 0), 1)
 
