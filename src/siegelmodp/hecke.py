@@ -20,14 +20,17 @@ One rule, :func:`_check_lifts`, admits (ell, i, N) for the operators and the
 public lift builders alike, before a lift is built, else :class:`HeckeError`.
 
 The ell-exponents are always taken at the expansion's own weight.  Each
-coefficient enumerates its branches once, with the caller's lift scheme: the
-completeness check reads the indices T' of exactly the branches that the sum
-uses, so an absent input is an error, never a silent zero.
+coefficient is summed in one pass over its branches, with the caller's lift
+scheme, and the completeness check reads the indices T' of exactly the
+branches that the sum uses: the first absent input ends the sum, so an
+absent input is an error, never a silent zero.  Only that error path
+enumerates the branches a second time, to name every absent input.
 
-The parts of the sum that do not depend on F or T are built once per
-operator and kept in two small LRU caches of immutable values: the lift
-table of :func:`_lifts`, which one enumerator reads for the sum and for
-``required_indices``, and the plan of :func:`_plan`.  ``eigenvalue`` and
+The parts of the sum that do not depend on T are built once per operator
+and kept in three small LRU caches of immutable values: the lift table of
+:func:`_lifts`, which one enumerator reads for the sum and for
+``required_indices``, the plan of :func:`_plan`, and the character and
+ell-power multipliers of :func:`_multipliers`.  ``eigenvalue`` and
 ``hecke_image`` (T(ell^i)F at a list of target indices) set their operator
 up once; ``p1_representatives`` returns a fresh list.
 """
@@ -176,9 +179,10 @@ def index_transform(U, T):
     return a_U, b_U, c_U
 
 
-# Lift tables and plans of the operators in use.  A plan takes about 2 kB
-# for a scalar T(2), 32 kB at ell = 3, i = 2, n = 10 and 160 kB at n = 30; a
-# lift table holds at most _MAX_LIFTS small tuples.
+# Lift tables, plans and multiplier tables of the operators in use, each
+# cache of this size.  A plan takes about 2 kB for a scalar T(2), 32 kB at
+# ell = 3, i = 2, n = 10 and 160 kB at n = 30; a lift table holds at most
+# _MAX_LIFTS small tuples, and a multiplier table (i+1)^2 residues mod p.
 _PLAN_CACHE_SIZE = 32
 
 
@@ -209,12 +213,16 @@ def _lifts(ell: int, i: int, N: int, scheme: str, seed: int) -> tuple:
 def _branches(lifts: tuple, T):
     """Yield (k, beta, gamma, T') over the branches of T that pass the
     divisibility filter; ``k`` indexes the lift in the table ``lifts``.
-    The gamma filters are nested, so the first failing gamma ends the loop.
+    A lift whose a_U ell^beta does not divide has no branch, so b_U and c_U
+    are left uncomputed; the gamma filters are nested, so the first failing
+    gamma ends the loop.
     """
     a, b, c = T
     for k, (beta, _, (aa, ab, ac, ca, cb, cc, ba, bb, bc),
             steps) in enumerate(lifts):
         a_U = a * aa + b * ab + c * ac
+        if a_U % steps[0][0]:  # ell^beta divides a_U on every branch
+            continue
         b_U = a * ba + b * bb + c * bc
         c_U = a * ca + b * cb + c * cc
         for gamma, (lbg, lg, la, lab) in enumerate(steps):
@@ -224,11 +232,15 @@ def _branches(lifts: tuple, T):
                                    lab * (c_U // lg))
 
 
+def _reads(lifts: tuple, T: tuple) -> set:
+    """The indices T' that the branches of the checked index T read."""
+    return {T2 for *_, T2 in _branches(lifts, T)}
+
+
 def required_indices(ell: int, i: int, T, N: int) -> set:
     """The input indices read by :func:`hecke_coefficient` at T (CRT lifts)."""
     _check_lifts(ell, i, N)
-    return {T2 for *_, T2 in _branches(_lifts(ell, i, N, "crt", 0),
-                                       check_index(T))}
+    return _reads(_lifts(ell, i, N, "crt", 0), check_index(T))
 
 
 # ---------------------------------------------------------------------------
@@ -276,44 +288,60 @@ def _plan(ell: int, i: int, N: int, n: int, p: int, scheme: str,
     return tuple(plan)
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _multipliers(ell: int, i: int, p: int, N: int, k1: int, k2: int,
+                 chi1: tuple | None, chi2: tuple | None) -> tuple:
+    """mult[beta][gamma] = chi1(ell^beta) chi2(ell^gamma)
+    * ell^(beta(k1-2) + gamma(k1+k2-3)) mod p, with a character table of
+    None read as trivial."""
+    e1, e2 = pow(ell % p, k1 - 2, p), pow(ell % p, k1 + k2 - 3, p)
+    f1 = [(1 if chi1 is None else chi1[ell ** j % N]) * pow(e1, j, p)
+          for j in range(i + 1)]
+    f2 = [(1 if chi2 is None else chi2[ell ** j % N]) * pow(e2, j, p)
+          for j in range(i + 1)]
+    return tuple(tuple(x * y % p for y in f2) for x in f1)
+
+
 def _operator(F: QExpansion, ell: int, i: int, scheme: str,
               seed: int) -> tuple:
     """(F, lift table, plan, mult): what T(ell^i) reads at every index of F,
-    with mult[beta][gamma] = chi1(ell^beta) chi2(ell^gamma)
-    * ell^(beta(k1-2) + gamma(k1+k2-3)) mod p."""
-    p, N, n = F.p, F.N, F.weight.n
-    k1, k2 = F.weight.k1, F.weight.k2
-    e1, e2 = pow(ell % p, k1 - 2, p), pow(ell % p, k1 + k2 - 3, p)
-    f1 = [F.chi1_at(ell ** j) * pow(e1, j, p) for j in range(i + 1)]
-    f2 = [F.chi2_at(ell ** j) * pow(e2, j, p) for j in range(i + 1)]
-    mult = [[x * y % p for y in f2] for x in f1]
+    with mult from :func:`_multipliers`."""
+    p, N, w = F.p, F.N, F.weight
     return (F, _lifts(ell, i, N, scheme, seed),
-            _plan(ell, i, N, n, p, scheme, seed), mult)
+            _plan(ell, i, N, w.n, p, scheme, seed),
+            _multipliers(ell, i, p, N, w.k1, w.k2, F.chi1, F.chi2))
 
 
-def _coefficient(op: tuple, T: tuple, assume_complete: bool) -> tuple:
-    """(missing, coefficient) at the checked index T of the operator ``op``.
+def _coefficient(op: tuple, T: tuple, assume_complete: bool):
+    """The coordinates of the coefficient at the checked index T of the
+    operator ``op``, summed in one pass over its branches.
 
-    Unless ``assume_complete`` is set, ``missing`` is the set of indices the
-    branches read outside F's support, and the coefficient is None if it is
-    not empty; with it set, absent inputs count as zero.
+    Unless ``assume_complete`` is set, the first branch that reads an index
+    outside F's support ends the sum with None; with it set, absent inputs
+    count as zero.
     """
     F, lifts, plan, mult = op
-    p, n, support = F.p, F.weight.n, F.support
-    branches = list(_branches(lifts, T))
-    if not assume_complete:
-        missing = {T2 for *_, T2 in branches}.difference(support)
-        if missing:
-            return missing, None
-    out = [0] * (n + 1)
-    for k, beta, gamma, T2 in branches:
+    support = F.support
+    out = [0] * (F.weight.n + 1)
+    for k, beta, gamma, T2 in _branches(lifts, T):
         vec = support.get(T2)
+        if vec is None:
+            if assume_complete:
+                continue
+            return None
         m = mult[beta][gamma]
-        if vec is None or m == 0:
-            continue
-        for s, col in enumerate(plan[k]):
-            out[s] += m * sum(map(mul, vec, col))
-    return None, RepVector(n, F.weight.k2, tuple([o % p for o in out]))
+        if m:
+            for s, col in enumerate(plan[k]):
+                out[s] += m * sum(map(mul, vec, col))
+    p = F.p
+    return tuple([o % p for o in out])
+
+
+def _missing(op: tuple, T: tuple) -> HeckeError:
+    """The error of a coefficient at T whose inputs are not all in F's
+    support: every absent index, sorted, from a second enumeration."""
+    missing = _reads(op[1], T).difference(op[0].support)
+    return HeckeError(f"missing required indices: {sorted(missing)}")
 
 
 def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
@@ -329,11 +357,11 @@ def hecke_coefficient(F: QExpansion, ell: int, i: int, T,
     """
     T = check_index(T)
     _check_operator(F, ell, i)
-    missing, img = _coefficient(_operator(F, ell, i, scheme, seed), T,
-                                assume_complete)
-    if missing:
-        raise HeckeError(f"missing required indices: {sorted(missing)}")
-    return img
+    op = _operator(F, ell, i, scheme, seed)
+    coords = _coefficient(op, T, assume_complete)
+    if coords is None:
+        raise _missing(op, T)
+    return RepVector(F.weight.n, F.weight.k2, coords)
 
 
 def hecke_image(F: QExpansion, ell: int, i: int, targets,
@@ -347,11 +375,11 @@ def hecke_image(F: QExpansion, ell: int, i: int, targets,
     op = _operator(F, ell, i, "crt", 0)
     support = {}
     for T in targets:
-        missing, img = _coefficient(op, T, assume_complete)
-        if missing:
-            raise HeckeError(f"missing required indices: {sorted(missing)}")
-        if any(img.coords):
-            support[T] = img.coords
+        coords = _coefficient(op, T, assume_complete)
+        if coords is None:
+            raise _missing(op, T)
+        if any(coords):
+            support[T] = coords
     return _derive(F, F.weight, support)
 
 
@@ -371,14 +399,14 @@ def eigenvalue(F: QExpansion, ell: int, i: int,
     lam = None
     report = []
     for T in sorted(F.support):
-        missing, img = _coefficient(op, T, assume_complete)
-        if missing:
+        img = _coefficient(op, T, assume_complete)
+        if img is None:
             continue
         vec = F.support[T]
         lead = next((t for t, c in enumerate(vec) if c % p), None)
         if lam is None and lead is not None:
-            lam = img.coords[lead] * pow(vec[lead], p - 2, p) % p
-        matches = all((img.coords[t] - (lam or 0) * vec[t]) % p == 0
+            lam = img[lead] * pow(vec[lead], p - 2, p) % p
+        matches = all((img[t] - (lam or 0) * vec[t]) % p == 0
                       for t in range(len(vec)))
         report.append((T, matches))
     if lam is None:

@@ -46,13 +46,16 @@ def check_index(T) -> tuple:
     """T as a triple of ints.  Each entry must equal its int() (2.0 passes
     as 2) and [[a, b/2], [b/2, c]] must be semi-positive."""
     a, b, c = T
-    try:
-        index = (int(a), int(b), int(c))
-    except (TypeError, ValueError, OverflowError):
-        index = None
-    if index != (a, b, c):
-        raise QExpError(f"index {T} has a non-integer entry")
-    a, b, c = index
+    if type(a) is int and type(b) is int and type(c) is int:
+        index = (a, b, c)
+    else:  # a bool, an IntEnum or an integral float becomes its int
+        try:
+            index = (int(a), int(b), int(c))
+        except (TypeError, ValueError, OverflowError):
+            index = None
+        if index != (a, b, c):
+            raise QExpError(f"index {T} has a non-integer entry")
+        a, b, c = index
     if a < 0 or c < 0 or 4 * a * c - b * b < 0:
         raise QExpError(f"index {T} violates semi-positivity")
     return index

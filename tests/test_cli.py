@@ -409,10 +409,12 @@ def test_hecke_refuses_a_weight_difference_above_its_bound(tmp_path, capsys,
         targets.write_text("1 0 1\n", encoding="utf-8")
         argv += ["--targets", str(targets), "-o", str(tmp_path / "out.smf")]
     misses = (hecke._plan.cache_info().misses,
-              hecke._lifts.cache_info().misses)
+              hecke._lifts.cache_info().misses,
+              hecke._multipliers.cache_info().misses)
     assert run(argv) == 1
     assert (hecke._plan.cache_info().misses,
-            hecke._lifts.cache_info().misses) == misses
+            hecke._lifts.cache_info().misses,
+            hecke._multipliers.cache_info().misses) == misses
     out, err = capsys.readouterr()
     assert out == "" and "Hecke operators run at k1-k2 <= 100, got 101" in err
 

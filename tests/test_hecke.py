@@ -117,6 +117,30 @@ def test_required_indices_refuses_an_ell_that_is_not_prime(ell):
         required_indices(ell, 1, (1, 0, 1), 3)
 
 
+# Every admitted T(ell^i) for ell <= 7, up to the lift bound: T(2^5),
+# T(3^3), T(5^2) and T(7^2).
+_ADMITTED_POWERS = {2: 5, 3: 3, 5: 2, 7: 2}
+
+
+def test_required_indices_match_the_oracle_branches():
+    """required_indices reads the T' of the oracle's branches over CRT lifts
+    at every index with a, c <= 8, rank 0 and rank 1 included, so the a_U
+    filter that runs before b_U and c_U is pinned up to ell^beta = 49."""
+    indices = [(a, b, c) for a in range(9) for c in range(9)
+               for b in range(-8, 9) if b * b <= 4 * a * c]
+    for ell, top in _ADMITTED_POWERS.items():
+        for N in (3, 4, 5):
+            if gcd(ell, N) != 1:
+                continue
+            reps = {b: p1_representatives(ell, b, N) for b in range(top + 1)}
+            for i in range(top + 1):
+                for T in indices:
+                    want = {T2 for *_, T2 in hecke_oracle.branches(ell, i, T,
+                                                                   reps)}
+                    assert required_indices(ell, i, T, N) == want, \
+                        (ell, i, N, T)
+
+
 def test_gauss_reduce():
     assert gauss_reduce((0, 0, 0)) == (0, 0, 0)
     assert gauss_reduce((4, 4, 1)) == (1, 0, 0)  # rank 1, gcd 1

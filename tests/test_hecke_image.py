@@ -182,3 +182,28 @@ def test_the_targets_file_is_read_before_inputs_are_missed(tmp_path,
     code, out = hecke_cli(tmp_path, 2, targets)
     assert code == 1 and not out.exists()
     assert capsys.readouterr().err.startswith("missing required indices: ")
+
+
+def test_the_error_names_every_absent_input_not_only_the_first(tmp_path,
+                                                                 capsys):
+    T, support = (2, 0, 2), {(1, 0, 1): (1,)}
+    absent = sorted(hecke.required_indices(2, 1, T, 3) - set(support))
+    # the first branch read, 2 T from the alpha = 1 branch of the identity
+    # lift, is absent, and so are three later ones
+    first = next(hecke._branches(hecke._lifts(2, 1, 3, "crt", 0), T))
+    assert first[3] == (4, 0, 4) and first[3] in absent and len(absent) == 4
+    want = f"missing required indices: {absent}"
+    F = QExpansion(p=5, N=3, weight=Weight(4, 4), support=support)
+    with pytest.raises(HeckeError) as coefficient:
+        hecke_coefficient(F, 2, 1, T)
+    with pytest.raises(HeckeError) as image:
+        hecke_image(F, 2, 1, [T])
+    assert str(coefficient.value) == str(image.value) == want
+    targets = tmp_path / "t.txt"
+    targets.write_text("2 0 2\n", encoding="utf-8")
+    out = tmp_path / "out.smf"
+    assert run(["hecke", "--ell", "2", "--targets", str(targets),
+                str(write_form(tmp_path, support=support)),
+                "-o", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == want + "\n"

@@ -1,3 +1,5 @@
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,18 @@ def test_check_index():
     assert check_index((1, -2, 2)) == (1, -2, 2)
     got = check_index((2.0, 0, 1))  # an integral float is its int
     assert got == (2, 0, 1) and all(type(x) is int for x in got)
+
+    class One(enum.IntEnum):
+        ONE = 1
+
+    # a bool, an IntEnum or a list comes back as a tuple of plain ints
+    for T in [(True, 0, 1), (One.ONE, 0, 1), [1, 0, 1]]:
+        got = check_index(T)
+        assert type(got) is tuple and got == (1, 0, 1)
+        assert all(type(x) is int for x in got), T
+    for T in [(True, 0, 1), (One.ONE, 0, 1)]:  # keys of a support
+        (key,) = mk(support={T: (1,)}).support
+        assert key == (1, 0, 1) and all(type(x) is int for x in key), T
     for bad in [(0, 1, 0), (-1, 0, 1), (1, 0, -1), (1, 3, 2)]:
         with pytest.raises(QExpError, match="semi-positivity"):
             check_index(bad)
