@@ -21,8 +21,10 @@ series constructors check p and drop zeros and terms past the cutoff.  Series
 arithmetic builds its results by private constructors, ``Series1._like`` and
 ``Series3._derived``, which rely on what the operands already hold (keys below
 the cutoff, nonzero values, p checked) and only reduce mod p and drop the
-zeros an operation made.  Where an exact-zero Series1 operand makes an operand
-the result, ``add``, ``mul`` and ``frobenius_substitute`` return it, shared.
+zeros an operation made.  Where an operation with a zero Series1 operand would
+rebuild an operand it already holds, truncation loss included, ``add``,
+``sub``, ``mul``, ``neg`` and ``frobenius_substitute`` return that operand,
+shared.
 """
 
 from __future__ import annotations
@@ -387,6 +389,8 @@ class Series1:
         return self._like(out, loss)
 
     def neg(self):
+        if not self.coeffs:
+            return self
         F = self.field
         return self._like({e: F.neg(c) for e, c in self.coeffs.items()})
 

@@ -154,13 +154,13 @@ def step3_paths(F: Series3, detA: Series3, k: int):
     F12 = F.derivation("t12").sub(c12.mul(F).scal(2 * k))
     F22 = F.derivation("t22").sub(c22.mul(F).scal(k))
 
-    # second step: the nine covariant coefficients
-    a20 = (F11.derivation("t22").sub(c22.mul(F11).scal(k))
-           .sub(c12.mul(F12)))
-    a11 = (F12.derivation("t12").sub(c12.mul(F12).scal(2 * (k + 1)))
-           .sub(c22.mul(F11).scal(2)).sub(c11.mul(F22).scal(2)))
-    a02 = (F22.derivation("t11").sub(c11.mul(F22).scal(k))
-           .sub(c12.mul(F12)))
+    # second step: the nine covariant coefficients, which share three
+    # connection products
+    g11, g12, g22 = c22.mul(F11), c12.mul(F12), c11.mul(F22)
+    a20 = F11.derivation("t22").sub(g11.scal(k)).sub(g12)
+    a11 = (F12.derivation("t12").sub(g12.scal(2 * (k + 1)))
+           .sub(g11.scal(2)).sub(g22.scal(2)))
+    a02 = F22.derivation("t11").sub(g22.scal(k)).sub(g12)
     third = _inv(3, p)
     sixth = _inv(6, p)
     path1 = a20.scal(third).sub(a11.scal(sixth)).add(a02.scal(third))

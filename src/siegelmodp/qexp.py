@@ -111,17 +111,6 @@ class QExpansion:
                 raise QExpError(
                     f"parity violation: chi2(-1)={val}, expected {want}")
 
-    # -- character evaluation ----------------------------------------------
-    def chi1_at(self, n: int) -> int:
-        if self.chi1 is None:
-            return 1
-        return self.chi1[n % self.N]
-
-    def chi2_at(self, n: int) -> int:
-        if self.chi2 is None:
-            return 1
-        return self.chi2[n % self.N]
-
     def metadata_like(self, other) -> bool:
         return (self.p == other.p and self.N == other.N
                 and self.weight == other.weight

@@ -149,29 +149,40 @@ def _point_model(phi):
     return _STRATA[phi][3]
 
 
+# a filtration of F_p^4 has at most five members, but F_p^4 has about p^4
+# subspaces: the closure is refused past this many
+_MAX_SUBSPACES = 32
+_FULL = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _closure(phi, p: int):
+    """The V-image and F-preimage of every subspace reached from 0 and the
+    whole space on the point model of phi, each computed once: two dicts
+    from echelon basis to echelon basis, keyed by the same subspaces."""
+    V, F = _point_model(phi)
+    image, preimage = {}, {}
+    todo = [(), _FULL]
+    while todo:
+        S = todo.pop()
+        if S in image:
+            continue
+        if len(image) == _MAX_SUBSPACES:
+            raise StrataError("filtration did not stabilize")
+        image[S] = _mat_image(V, S, p)
+        preimage[S] = _mat_preimage(F, S, p)
+        todo += image[S], preimage[S]
+    return image, preimage
+
+
 def canonical_filtration_compute(phi, p: int) -> CanonicalType:
-    """Recompute the canonical type of the stratum by stabilizing the set of
+    """Recompute the canonical type of the stratum by closing the set of
     subspaces under V-images and F-preimages on the mod-p point model.
 
     Serves as an independent oracle for the printed table data.
     """
     _check_prime(p, StrataError)
-    V, F = _point_model(phi)
-    full = echelon([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
-                   p)[0]
-    spaces = {(), full}
-    for _ in range(32):
-        new = set(spaces)
-        for S in spaces:
-            new.add(_mat_image(V, S, p))
-            new.add(_mat_preimage(F, S, p))
-        if new == spaces:
-            break
-        spaces = new
-    else:
-        raise StrataError("filtration did not stabilize")
-
-    chain = sorted(spaces, key=len)
+    image, preimage = _closure(phi, p)
+    chain = sorted(image, key=len)
     # the collection must be totally ordered by inclusion
     for small, big in zip(chain, chain[1:]):
         if echelon(small + big, p)[0] != big:
@@ -179,9 +190,9 @@ def canonical_filtration_compute(phi, p: int) -> CanonicalType:
     s = len(chain) - 1
     index = {S: i for i, S in enumerate(chain)}
     rho = tuple(len(S) for S in chain)
-    v = tuple(index[_mat_image(V, S, p)] for S in chain)
-    f = tuple(index[_mat_preimage(F, S, p)] for S in chain)
-    r = index[_mat_image(V, full, p)]
+    v = tuple(index[image[S]] for S in chain)
+    f = tuple(index[preimage[S]] for S in chain)
+    r = index[image[_FULL]]
     pi = tuple(v[i] if v[i + 1] > v[i] else f[i] for i in range(s))
     # order of pi
     n = 1
@@ -211,13 +222,28 @@ class DieudonneModel:
     Fhat: tuple
 
     def apply(self, which: str, s: int, vec):
-        """Matrix-vector product with the s-fold twisted operator matrix."""
+        """Matrix-vector product with the s-fold twisted operator matrix.
+
+        Only nonzero matrix entries are twisted, and an entry is multiplied
+        only where it and the vector entry are both nonzero.  A skipped
+        product is zero but not always exact: when its twisted entry or its
+        vector entry carries truncation loss, the row is marked as the
+        product would have marked it, so a lossy vector entry marks every
+        row.
+        """
+        B, K = self.base, self.cutoff
         M = self.Vhat if which == "V" else self.Fhat
+        zero = Series1.zero(B, K)
         out = []
         for row in M:
-            acc = Series1.zero(self.base, self.cutoff)
+            acc = zero
             for e, v in zip(row, vec):
-                acc = acc.add(e.frobenius_substitute(s).mul(v))
+                if e.coeffs:
+                    e = e.frobenius_substitute(s)
+                if e.coeffs and v.coeffs:
+                    acc = acc.add(e.mul(v))
+                elif e.truncation_loss or v.truncation_loss:
+                    acc = acc.add(Series1(B, K, truncation_loss=True))
             out.append(acc)
         return tuple(out)
 
@@ -267,7 +293,10 @@ def _solve_line(model, columns, target):
             if ri == piv or row[c].is_zero():
                 continue
             f = row[c]
-            rows[ri] = [e.sub(f.mul(g)) for e, g in zip(row, rows[piv])]
+            # a zero g leaves e as it is, up to the truncation loss of g
+            # (a lossy f still takes the full update)
+            rows[ri] = [e.sub(f.mul(g)) if g.coeffs or f.truncation_loss
+                        else e.add(g) for e, g in zip(row, rows[piv])]
     # consistency: rows without a pivot must be fully zero
     for ri, row in enumerate(rows):
         if ri in rank_rows:

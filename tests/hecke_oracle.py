@@ -16,6 +16,12 @@ from siegelmodp.qexp import check_index
 from siegelmodp.rep import RepVector, Weight, rep_apply
 
 
+def chi_at(table, N, n):
+    """The value at n of a character stored as ``QExpansion`` stores chi1
+    and chi2: None for the trivial character, else its N values mod p."""
+    return 1 if table is None else table[n % N]
+
+
 def branches(ell, i, T, reps_by_beta):
     """Yield (beta, gamma, U, T') in the order beta, gamma, lift."""
     a, b, c = T
@@ -58,7 +64,8 @@ def hecke_coefficient(F, ell, i, T, assume_complete=False, scheme="crt",
         if coeff_vec is None:
             continue
         exp = beta * (k1 - 2) + gamma * (k1 + k2 - 3)
-        mult = (F.chi1_at(ell ** beta) * F.chi2_at(ell ** gamma)
+        mult = (chi_at(F.chi1, F.N, ell ** beta)
+                * chi_at(F.chi2, F.N, ell ** gamma)
                 * pow(ell % p, exp, p)) % p
         if mult == 0:
             continue

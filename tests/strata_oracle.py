@@ -5,10 +5,15 @@ because no computation there needs them.
   truncated series, for the standard symplectic pairing J.
 - :func:`point_model_products_vanish`: F.V = V.F = 0 on the mod-p point
   models of the strata that have one matrix pair at t = 0.
+- :func:`closure_by_rounds`: the filtration closure as ``strata`` computed
+  it before its worklist, every known subspace's V-image and F-preimage
+  recomputed each round until a round adds nothing, with the canonical type
+  read from the result.
 """
 
-from siegelmodp.arith import Series1
-from siegelmodp.strata import _point_model
+from siegelmodp.arith import Series1, echelon
+from siegelmodp.strata import (CanonicalType, _mat_image, _mat_preimage,
+                               _point_model)
 
 # symplectic pairing <e_i, e_{i+2}> = 1
 J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
@@ -41,3 +46,35 @@ def point_model_products_vanish(p: int) -> bool:
                     if sum(A[i][k] * Bm[k][j] for k in range(4)) % p:
                         return False
     return True
+
+
+def closure_by_rounds(phi, p: int):
+    """(subspaces, canonical type) of the stratum phi at p, by rounds."""
+    V, F = _point_model(phi)
+    full = echelon([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+                   p)[0]
+    spaces = {(), full}
+    for _ in range(32):
+        new = set(spaces)
+        for S in spaces:
+            new.add(_mat_image(V, S, p))
+            new.add(_mat_preimage(F, S, p))
+        if new == spaces:
+            break
+        spaces = new
+    else:
+        raise AssertionError("filtration did not stabilize")
+    chain = sorted(spaces, key=len)
+    for small, big in zip(chain, chain[1:]):
+        assert echelon(small + big, p)[0] == big, "not a chain"
+    s = len(chain) - 1
+    index = {S: i for i, S in enumerate(chain)}
+    v = tuple(index[_mat_image(V, S, p)] for S in chain)
+    f = tuple(index[_mat_preimage(F, S, p)] for S in chain)
+    pi = tuple(v[i] if v[i + 1] > v[i] else f[i] for i in range(s))
+    n, perm = 1, pi
+    while perm != tuple(range(s)):
+        perm = tuple(pi[x] for x in perm)
+        n += 1
+    return spaces, CanonicalType(s, index[_mat_image(V, full, p)],
+                                 tuple(len(S) for S in chain), v, f, pi, n)

@@ -206,6 +206,10 @@ def test_series1_truncation_loss_flag():
     f = s1(5, 10, {3: 1})
     assert f.frobenius_substitute(1).truncation_loss
     assert not f.frobenius_substitute(0).truncation_loss
+    # a lossy zero is its own negative and marks what it is subtracted from
+    z = f.frobenius_substitute(1)
+    assert z.is_zero() and z.neg() is z
+    assert f.sub(z).coeffs == f.coeffs and f.sub(z).truncation_loss
 
 
 def test_series1_laurent_inverse():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -89,6 +90,22 @@ def test_step3_identity_random():
             detA = rand_series(rng, p, K + 2, unit=True)
             k = rng.randrange(2, 7)
             assert step3_identity_check(F, detA, k, K)
+
+
+def test_step3_paths_pinned():
+    """Both paths in full, not only their agreement: a change that broke
+    both the same way would still pass the identity check."""
+    rng = random.Random(39)
+    lines = []
+    for p in (5, 7, 11, 13):
+        for _ in range(3):
+            F = rand_series(rng, p, 7)
+            detA = rand_series(rng, p, 7, unit=True)
+            k = rng.randrange(2, 7)
+            for path in step3_paths(F, detA, k):
+                lines.append(f"{p} {k} {sorted(path.coeffs.items())}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "e755765f1b0a83d5e1d3ba9fa83adf5c38fdc956765b371db278d38c0ff992b2")
 
 
 def test_step3_mutation_detected():

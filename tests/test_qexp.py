@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke_oracle import chi_at
 from siegelmodp.qexp import (QExpError, QExpansion, check_index, hasse_scale,
                              index_scale_up, is_p_singular,
                              is_weak_p_singular, linear_combine, parse,
@@ -69,7 +70,7 @@ def test_validation():
 def test_parity_check():
     chi2_even = (1, 1, 1)
     F = mk(weight=(4, 4), chi2=chi2_even)
-    assert F.chi2_at(-1) == 1
+    assert chi_at(F.chi2, F.N, -1) == 1
     with pytest.raises(QExpError, match="parity"):
         mk(weight=(4, 3), chi2=chi2_even)  # k1+k2 odd needs chi2(-1) = -1
 

@@ -4,14 +4,15 @@ from itertools import product
 
 import pytest
 
-from siegelmodp.arith import Series1, all_zetas
+from siegelmodp.arith import Series1, all_zetas, is_prime
 from siegelmodp.strata import (HASSE_CASES, PHI_VALUES, CanonicalType,
-                               ChaseError, StrataError, _mat_image,
-                               _mat_preimage, canonical_filtration_compute,
-                               chase, eo_tables, model_0_1, model_1_1,
-                               partial_hasse_order, partial_hasse_report,
-                               zeta_independent)
-from strata_oracle import adjunction_holds, point_model_products_vanish
+                               ChaseError, StrataError, _closure, _mat_image,
+                               _mat_preimage, _solve_line,
+                               canonical_filtration_compute, chase, eo_tables,
+                               model_0_1, model_1_1, partial_hasse_order,
+                               partial_hasse_report, zeta_independent)
+from strata_oracle import (adjunction_holds, closure_by_rounds,
+                           point_model_products_vanish)
 
 
 def test_eo_tables_printed_data():
@@ -46,6 +47,18 @@ def test_canonical_filtration_oracle(phi, p):
     assert canonical_filtration_compute(phi, p) == eo_tables()[phi].canonical
 
 
+@pytest.mark.parametrize("p", [p for p in range(5, 62) if is_prime(p)]
+                         + [211])
+def test_closure_matches_the_rounds(p):
+    """The worklist closure visits the subspaces that the round-based
+    closure keeps, and both read the same canonical type from them."""
+    for phi in PHI_VALUES:
+        spaces, ct = closure_by_rounds(phi, p)
+        image, preimage = _closure(phi, p)
+        assert set(image) == set(preimage) == spaces
+        assert canonical_filtration_compute(phi, p) == ct
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_point_model_products(p):
     assert point_model_products_vanish(p)
@@ -76,6 +89,54 @@ def test_chase_forward_examples():
                 ({1: -1, 2: t}, 2), lines)
     assert res.multiplier.coeffs == {p * p + p: 1}
     assert res.order == p * p + p
+
+
+def _lossy_zero(B, K):
+    # t^(K-1) twisted once lands past the cutoff: zero, with truncation loss
+    return Series1.monomial(B, K, K - 1).frobenius_substitute(1)
+
+
+def test_apply_keeps_the_loss_of_a_zero_operand():
+    """Column 1 of the (1,1) model's Vhat is zero, and rows 2 and 3 are
+    zero: a lossy zero in slot 1 still marks every row of the product."""
+    p, K = 5, 40
+    model, _ = model_1_1(p, K)
+    B = model.base
+    assert all(row[1].is_zero() for row in model.Vhat)
+    one = Series1.const(B, K, 1)
+    vec = (one, _lossy_zero(B, K), one, Series1.zero(B, K))
+    out = model.apply("V", 1, vec)
+    assert all(c.truncation_loss for c in out)
+    assert out[0].coeffs == {5: 1} and out[1].coeffs == {0: 1}
+    assert out[2].is_zero() and out[3].is_zero()
+    # an exact zero in the same slot marks nothing
+    exact = model.apply("V", 1, (one, Series1.zero(B, K), one,
+                                 Series1.zero(B, K)))
+    assert not any(c.truncation_loss for c in exact)
+    # at K = 3 the twist of t loses t^5, so row 0 is marked where that entry
+    # meets an exact zero; row 1's entry 1 loses nothing
+    model, _ = model_1_1(p, 3)
+    zero, one = Series1.zero(B, 3), Series1.const(B, 3, 1)
+    out = model.apply("V", 1, (zero, zero, zero, one))
+    assert out[0].coeffs == {0: 1} and out[0].truncation_loss
+    assert out[1].is_zero() and not out[1].truncation_loss
+
+
+def test_solve_line_keeps_the_loss_of_a_zero_in_the_pivot_row():
+    """Eliminating the second column subtracts multiples of its pivot row,
+    whose target entry is a lossy zero: x_0 keeps its value and is marked."""
+    p, K = 5, 40
+    model, _ = model_1_1(p, K)
+    B = model.base
+    zero, one = Series1.zero(B, K), Series1.const(B, K, 1)
+    gen = (one, zero, zero, zero)
+    rel = (one, one, zero, zero)
+    target = (Series1.const(B, K, 3), _lossy_zero(B, K), zero, zero)
+    x0 = _solve_line(model, [gen, rel], target)
+    assert x0.coeffs == {0: 3} and x0.truncation_loss
+    target = (Series1.const(B, K, 3), zero, zero, zero)
+    x0 = _solve_line(model, [gen, rel], target)
+    assert x0.coeffs == {0: 3} and not x0.truncation_loss
 
 
 def test_chase_left_the_line():
