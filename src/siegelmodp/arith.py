@@ -12,7 +12,8 @@ Provides:
 - :func:`echelon`: reduced row echelon form over F_p, at any width, with
   pivot columns; :func:`kernel`: an echelon basis of the orthogonal vectors.
 - :class:`Series1`: sparse univariate truncated series (Laurent exponents
-  allowed) over Fp or Fp2, with power-of-Frobenius substitution.
+  allowed) over Fp or Fp2 that carry their absolute precision, with
+  power-of-Frobenius substitution.
 - :class:`Series3`: sparse trivariate truncated series over F_p with the three
   partial derivations.
 
@@ -21,10 +22,18 @@ series constructors check p and drop zeros and terms past the cutoff.  Series
 arithmetic builds its results by private constructors, ``Series1._like`` and
 ``Series3._derived``, which rely on what the operands already hold (keys below
 the cutoff, nonzero values, p checked) and only reduce mod p and drop the
-zeros an operation made.  Where an operation with a zero Series1 operand would
-rebuild an operand it already holds, truncation loss included, ``add``,
-``sub``, ``mul``, ``neg`` and ``frobenius_substitute`` return that operand,
-shared.
+zeros an operation made.
+
+A Series1 is known mod t^prec, prec <= cutoff, and each operation sets the
+precision of its result by one rule (the O(t^n) of PARI/GP and Sage):
+prec(f + g) = min(prec f, prec g); prec(f*g) = min(prec f + val g,
+prec g + val f), where val is the order as far as it is known, so that an
+exact zero times a power series is an exact zero; ``shift(e)`` adds e; and
+``frobenius_substitute(s)`` multiplies prec by p^s.  Precision never exceeds
+the cutoff, and terms an operation pushes past the cutoff are truncated, not
+lost.  Where an operation would rebuild an operand it already holds,
+precision included, ``add``, ``sub``, ``mul``, ``neg`` and
+``frobenius_substitute`` return that operand, shared.
 """
 
 from __future__ import annotations
@@ -309,25 +318,33 @@ def kernel(rows, p: int, width: int):
 # univariate truncated series (Laurent exponents permitted)
 # ---------------------------------------------------------------------------
 
-def _neumann(one, x):
-    """1/(1 - x), the sum of x^k below the cutoff, for x with no constant."""
-    acc = term = one
-    while not (term := term.mul(x)).is_zero():
+def _neumann(first, x):
+    """first/(1 - x), the sum of first*x^k below the cutoff, for x with no
+    constant.
+
+    The first term that vanishes is added too: it vanishes only to its
+    precision, which bounds the terms left out."""
+    acc = term = first
+    while term.coeffs:
+        term = term.mul(x)
         acc = acc.add(term)
     return acc
 
 
 class Series1:
-    """Sparse univariate truncated series sum_e c_e * t^e with e < cutoff.
+    """Sparse univariate truncated series sum_e c_e * t^e + O(t^prec).
 
     Exponents may be negative (needed for intermediate steps of semilinear
     chases); truncation discards exponents >= cutoff.  Coefficients live in
-    the supplied field object (:class:`Fp` or :class:`Fp2`).
+    the supplied field object (:class:`Fp` or :class:`Fp2`).  The absolute
+    precision ``prec`` <= cutoff (default: the cutoff) says how much of the
+    series is known: the coefficients below it are exact, and those from it
+    up to the cutoff are kept but carry no information.
     """
 
-    __slots__ = ("field", "cutoff", "coeffs", "truncation_loss")
+    __slots__ = ("field", "cutoff", "coeffs", "prec")
 
-    def __init__(self, field, cutoff: int, coeffs=None, truncation_loss: bool = False):
+    def __init__(self, field, cutoff: int, coeffs=None, prec=None):
         self.field = field
         self.cutoff = cutoff
         clean = {}
@@ -338,7 +355,7 @@ class Series1:
                 if not field.is_zero(c):
                     clean[e] = c
         self.coeffs = clean
-        self.truncation_loss = truncation_loss
+        self.prec = cutoff if prec is None else min(prec, cutoff)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -364,97 +381,122 @@ class Series1:
         return min(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
-    def _like(self, coeffs, loss=False):
-        """Result at this cutoff from ``coeffs`` whose keys are below it."""
+    def _like(self, coeffs, prec):
+        """Result at this cutoff and ``prec`` from ``coeffs`` whose keys are
+        below the cutoff."""
         out = object.__new__(Series1)
-        out.field, out.cutoff = self.field, self.cutoff
+        out.field, out.cutoff, out.prec = self.field, self.cutoff, prec
         zero = self.field.zero
         out.coeffs = {e: c for e, c in coeffs.items() if c != zero}
-        out.truncation_loss = self.truncation_loss or loss
         return out
 
     def add(self, other):
-        loss = other.truncation_loss
-        if not other.coeffs and (self.truncation_loss or not loss):
+        pa, pb = self.prec, other.prec
+        if not other.coeffs and pa <= pb:
             return self
-        if (not self.coeffs and other.cutoff == self.cutoff
-                and (loss or not self.truncation_loss)):
+        if not self.coeffs and pb <= pa and other.cutoff == self.cutoff:
             return other
+        prec = pa if pa < pb else pb
         F = self.field
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = F.add(out.get(e, F.zero), c)
         if other.cutoff > self.cutoff:
-            return Series1(F, self.cutoff, out, self.truncation_loss or loss)
-        return self._like(out, loss)
+            return Series1(F, self.cutoff, out, prec)
+        return self._like(out, prec)
 
     def neg(self):
         if not self.coeffs:
             return self
         F = self.field
-        return self._like({e: F.neg(c) for e, c in self.coeffs.items()})
+        return self._like({e: F.neg(c) for e, c in self.coeffs.items()},
+                          self.prec)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scal(self, c):
         F = self.field
-        return self._like({e: F.mul(c, v) for e, v in self.coeffs.items()})
+        return self._like({e: F.mul(c, v) for e, v in self.coeffs.items()},
+                          self.prec)
 
     def mul(self, other):
-        loss = other.truncation_loss
-        if not self.coeffs and (self.truncation_loss or not loss):
-            return self
-        if not (self.coeffs and other.coeffs):
-            return self._like({}, loss)
         F, K = self.field, self.cutoff
+        a, b = self.coeffs, other.coeffs
+        pa, pb = self.prec, other.prec
+        # min(K, prec f + val g, prec g + val f), where val is the order as
+        # far as it is known, min(order, prec), and prec for a zero series;
+        # written out without calls: the product is the hottest operation
+        va = min(a) if a else pa
+        vb = min(b) if b else pb
+        x = pa + (vb if vb < pb else pb)
+        y = pb + (va if va < pa else pa)
+        prec = x if x < y else y
+        if prec > K:
+            prec = K
+        if not a and prec == pa:
+            return self
+        if not b and prec == pb and other.cutoff == K:
+            return other
+        if not (a and b):
+            return self._like({}, prec)
         out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 if e < K:
                     out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
-        return self._like(out, loss)
+        return self._like(out, prec)
 
     def shift(self, e0: int):
         """Multiply by t^e0."""
+        K = self.cutoff
         out = {}
         for e, c in self.coeffs.items():
-            if e + e0 < self.cutoff:
+            if e + e0 < K:
                 out[e + e0] = c
-        return self._like(out)
+        return self._like(out, min(K, self.prec + e0))
 
     def inverse(self):
         """Inverse of a series whose lowest term is invertible.
 
         Writes f = c*t^e*(1-x) with order(x) >= 1 and expands the geometric
-        series, exact below the cutoff.
+        series; its precision follows from the operations.  A series that is
+        zero to its precision has no known lowest term and is refused.
         """
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero series")
-        F = self.field
         e0 = self.order()
+        if e0 is None or e0 >= self.prec:
+            raise ZeroDivisionError(
+                "inverse of a series that is zero to its precision")
+        F = self.field
         c0inv = F.inv(self.coeffs[e0])
-        one = Series1.const(F, self.cutoff, F.one)
-        x = one.sub(self.shift(-e0).scal(c0inv))
-        return _neumann(one, x).scal(c0inv).shift(-e0)
+        u = self.shift(-e0)
+        # x = 1 - u/c, whose constant term cancels
+        m = F.neg(c0inv)
+        x = u._like({e: F.mul(m, c) for e, c in u.coeffs.items() if e},
+                    u.prec)
+        first = Series1.const(F, self.cutoff, c0inv)
+        return _neumann(first, x).shift(-e0)
 
     # -- semilinear substitution -------------------------------------------
     def frobenius_substitute(self, s: int = 1):
-        """t^e -> t^(p^s * e) and coefficients a -> a^(p^s)."""
-        if not self.coeffs:
+        """t^e -> t^(p^s * e) and coefficients a -> a^(p^s); terms pushed
+        past the cutoff are truncated, and the precision scales by p^s."""
+        if s == 0:
             return self
-        F = self.field
+        F, K = self.field, self.cutoff
         q = F.p ** s
+        prec = self.prec * q
+        if prec > K:
+            prec = K
+        if not self.coeffs and prec == self.prec:
+            return self
         out = {}
-        loss = False
         for e, c in self.coeffs.items():
             e2 = e * q
-            if e2 >= self.cutoff:
-                loss = True
-                continue
-            out[e2] = F.frob(c, s)
-        return self._like(out, loss)
+            if e2 < K:
+                out[e2] = F.frob(c, s)
+        return self._like(out, prec)
 
     def __repr__(self):
         if not self.coeffs:

@@ -224,26 +224,19 @@ class DieudonneModel:
     def apply(self, which: str, s: int, vec):
         """Matrix-vector product with the s-fold twisted operator matrix.
 
-        Only nonzero matrix entries are twisted, and an entry is multiplied
-        only where it and the vector entry are both nonzero.  A skipped
-        product is zero but not always exact: when its twisted entry or its
-        vector entry carries truncation loss, the row is marked as the
-        product would have marked it, so a lossy vector entry marks every
-        row.
+        The entries are exact polynomials, so a product with a zero entry or
+        with an exact-zero vector entry is an exact zero: only the others
+        are twisted and multiplied.
         """
-        B, K = self.base, self.cutoff
+        K = self.cutoff
         M = self.Vhat if which == "V" else self.Fhat
-        zero = Series1.zero(B, K)
+        zero = Series1.zero(self.base, K)
         out = []
         for row in M:
             acc = zero
             for e, v in zip(row, vec):
-                if e.coeffs:
-                    e = e.frobenius_substitute(s)
-                if e.coeffs and v.coeffs:
-                    acc = acc.add(e.mul(v))
-                elif e.truncation_loss or v.truncation_loss:
-                    acc = acc.add(Series1(B, K, truncation_loss=True))
+                if e.coeffs and (v.coeffs or v.prec < K):
+                    acc = acc.add(e.frobenius_substitute(s).mul(v))
             out.append(acc)
         return tuple(out)
 
@@ -251,7 +244,7 @@ class DieudonneModel:
 def _vec(model, entries):
     """Vector from a dict {index: coeff-or-Series1} or a 4-sequence."""
     B, K = model.base, model.cutoff
-    out = [Series1.zero(B, K) for _ in range(4)]
+    out = [Series1.zero(B, K)] * 4
     items = entries.items() if isinstance(entries, dict) else enumerate(entries)
     for i, c in items:
         out[i] = c if isinstance(c, Series1) else Series1.const(B, K, c)
@@ -292,11 +285,8 @@ def _solve_line(model, columns, target):
         for ri, row in enumerate(rows):
             if ri == piv or row[c].is_zero():
                 continue
-            f = row[c]
-            # a zero g leaves e as it is, up to the truncation loss of g
-            # (a lossy f still takes the full update)
-            rows[ri] = [e.sub(f.mul(g)) if g.coeffs or f.truncation_loss
-                        else e.add(g) for e, g in zip(row, rows[piv])]
+            f = row[c].neg()
+            rows[ri] = [e.add(f.mul(g)) for e, g in zip(row, rows[piv])]
     # consistency: rows without a pivot must be fully zero
     for ri, row in enumerate(rows):
         if ri in rank_rows:
@@ -501,7 +491,7 @@ def partial_hasse_order(phi, p: int, variant: int | None = None,
     chase multipliers.  ``variant`` (1 or 2) is required for phi = (1,1)
     and refused elsewhere; ``zeta``, a (p+1)-th root of -1 in F_{p^2}
     (default: find_zeta(p)), is refused outside phi = (0,1).  An order at
-    or past the cutoff raises "order exceeds cutoff".
+    or past the product's precision raises "order exceeds cutoff".
     """
     phi = tuple(phi)
     if phi == (0, 0):
@@ -529,7 +519,7 @@ def partial_hasse_order(phi, p: int, variant: int | None = None,
             # on these fixed models the only failure source is truncation:
             # a chase that degenerates below the cutoff means K was too small
             raise StrataError("order exceeds cutoff") from None
-    if inv.is_zero() or inv.truncation_loss or inv.order() >= K:
+    if inv.is_zero() or inv.order() >= inv.prec:
         raise StrataError("order exceeds cutoff")
     return inv.order()
 

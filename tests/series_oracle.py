@@ -2,10 +2,13 @@
 
 Every operation here forms every pair of terms, drops what falls at or past
 the cutoff term by term, and builds its result through the public, checking
-constructor of :class:`Series1` or :class:`Series3`.  ``arith`` derives its
-results without that check, visits only the degrees that can reach the
-result and returns at once on an exact-zero operand; the two must agree on
-the cutoff, the coefficients and the truncation-loss flag of every result.
+constructor of :class:`Series1` or :class:`Series3`.  The precision of a
+Series1 product is read pair by pair too: each known term of one factor
+times the unknown O(t^prec) of the other.  ``arith`` derives its results
+without that check, visits only the degrees that can reach the result, reads
+a product's precision from the valuations and returns at once where a zero
+operand leaves an operand as it is; the two must agree on the cutoff, the
+coefficients and the precision of every result.
 
 The functions take the operands of the method of the same name, ``self``
 first.
@@ -18,9 +21,9 @@ from siegelmodp.arith import Series1, Series3
 # Series1
 # ---------------------------------------------------------------------------
 
-def _like1(f, coeffs, loss=False):
+def _like1(f, coeffs, prec=None):
     return Series1(f.field, f.cutoff, coeffs,
-                   truncation_loss=f.truncation_loss or loss)
+                   prec=f.prec if prec is None else prec)
 
 
 def add1(f, g):
@@ -28,8 +31,7 @@ def add1(f, g):
     out = dict(f.coeffs)
     for e, c in g.coeffs.items():
         out[e] = F.add(out.get(e, F.zero), c)
-    return Series1(F, f.cutoff, out,
-                   truncation_loss=f.truncation_loss or g.truncation_loss)
+    return _like1(f, out, min(f.prec, g.prec))
 
 
 def neg1(f):
@@ -55,40 +57,40 @@ def mul1(f, g):
             if e >= f.cutoff:
                 continue
             out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
-    return Series1(F, f.cutoff, out,
-                   truncation_loss=f.truncation_loss or g.truncation_loss)
+    # (known terms + O(t^prec f)) * (known terms + O(t^prec g))
+    prec = f.prec + g.prec
+    for a, b in ((f, g), (g, f)):
+        for e in a.coeffs:
+            if e < a.prec:
+                prec = min(prec, e + b.prec)
+    return _like1(f, out, prec)
 
 
 def shift1(f, e0):
     return _like1(f, {e + e0: c for e, c in f.coeffs.items()
-                      if e + e0 < f.cutoff})
+                      if e + e0 < f.cutoff}, f.prec + e0)
 
 
 def frobenius_substitute1(f, s=1):
     F = f.field
     q = F.p ** s
     out = {}
-    loss = False
     for e, c in f.coeffs.items():
-        if e * q >= f.cutoff:
-            loss = True
-            continue
-        out[e * q] = F.frob(c, s)
-    return Series1(F, f.cutoff, out,
-                   truncation_loss=f.truncation_loss or loss)
+        if e * q < f.cutoff:
+            out[e * q] = F.frob(c, s)
+    return _like1(f, out, f.prec * q)
 
 
 def inverse1(f):
-    """The geometric series of ``Series1.inverse``, on the ops above."""
+    """The geometric series of ``Series1.inverse``, on the ops above, up to
+    and including the first power that vanishes."""
     F, K = f.field, f.cutoff
     e0 = f.order()
     c0inv = F.inv(f.coeffs[e0])
     ng = neg1(sub1(scal1(shift1(f, -e0), c0inv), Series1.const(F, K, F.one)))
     acc = term = Series1.const(F, K, F.one)
-    while True:
+    while not term.is_zero():
         term = mul1(term, ng)
-        if term.is_zero():
-            break
         acc = add1(acc, term)
     return shift1(scal1(acc, c0inv), -e0)
 

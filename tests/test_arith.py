@@ -202,14 +202,38 @@ def test_series1_frobenius_substitute():
     assert f2.frobenius_substitute(1).coeffs == {5: K.frob(z)}
 
 
-def test_series1_truncation_loss_flag():
-    f = s1(5, 10, {3: 1})
-    assert f.frobenius_substitute(1).truncation_loss
-    assert not f.frobenius_substitute(0).truncation_loss
-    # a lossy zero is its own negative and marks what it is subtracted from
-    z = f.frobenius_substitute(1)
-    assert z.is_zero() and z.neg() is z
-    assert f.sub(z).coeffs == f.coeffs and f.sub(z).truncation_loss
+def test_series1_precision():
+    F, K = Fp(5), 10
+    f = s1(5, K, {3: 1})
+    # t^3 twisted once lands past the cutoff: truncated, and still exact
+    assert f.frobenius_substitute(1).is_zero()
+    assert f.frobenius_substitute(1).prec == K
+    assert f.frobenius_substitute(0) is f
+    # a zero known mod t^4 is its own negative, and a sum is known as far
+    # as its least precise term
+    z = Series1(F, K, prec=4)
+    assert z.neg() is z
+    assert f.sub(z).coeffs == f.coeffs and f.sub(z).prec == 4
+    # prec(f*g) = min(prec f + val g, prec g + val f), and an exact zero
+    # times a power series is an exact zero
+    assert f.mul(z).prec == z.mul(f).prec == 7
+    assert Series1.zero(F, K).mul(z).prec == K
+    assert Series1(F, K, prec=-3).mul(s1(5, K, {-2: 1})).prec == -5
+    # shift adds to the precision and Frobenius multiplies it, up to K
+    assert (z.shift(-2).prec, z.shift(3).prec, z.shift(9).prec) == (2, 7, K)
+    assert z.frobenius_substitute(1).prec == K
+    assert Series1(F, 100, prec=4).frobenius_substitute(1).prec == 20
+    # dividing by t^e costs e, and inverting t^e * u costs 2e: t^8 and t^9
+    # of 1/(t^2 + t^3) would need terms of t^2 + t^3 past the cutoff
+    assert s1(5, K, {2: 1, 9: 1}).shift(-2).prec == 8
+    inv = s1(5, K, {2: 1, 3: 1}).inverse()
+    assert inv.prec == 6
+    assert inv.coeffs == {e: (-1) ** e % 5 for e in range(-2, 8)}
+    # a series that is zero to its precision has no lowest term to invert
+    with pytest.raises(ZeroDivisionError):
+        Series1(F, K, {6: 1}, prec=5).inverse()
+    with pytest.raises(ZeroDivisionError):
+        Series1.zero(F, K).inverse()
 
 
 def test_series1_laurent_inverse():

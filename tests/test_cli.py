@@ -86,6 +86,20 @@ def test_strata_order_json(capsys):
         "8c3dd85fd2728a10fe78cb854bdc98a62c8a31167f74c73146f8641aa37384f0")
 
 
+def test_strata_order_at_large_p(capsys):
+    """The chased cases at p = 41, 10^6 + 3 and 2^61 - 1, where the default
+    cutoff p^4 + p has up to 74 digits, byte for byte."""
+    out = []
+    for p in (41, 1000003, 2 ** 61 - 1):
+        for phi, variant in (("0,1", None), ("1,1", 1), ("1,1", 2)):
+            assert run(["strata", "order", "--phi", phi, "--p", str(p)]
+                       + (["--variant", str(variant)] if variant else [])) == 0
+            out.append(capsys.readouterr().out)
+            assert json.loads(out[-1])["match"] is True
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == (
+        "129cc68a92b13a00d65e117ed8845c8685ca2aec1e2c35d84adf45f0e1060b48")
+
+
 def test_strata_tables(capsys):
     assert run(["strata", "tables"]) == 0
     out = capsys.readouterr().out

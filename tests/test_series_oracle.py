@@ -1,8 +1,9 @@
 """``arith``'s truncated series against the pair-by-pair reference in
-``series_oracle``: equal cutoffs, coefficients and truncation-loss flags on
-Fp and Fp2, Laurent exponents, operands of different cutoffs, exact-zero
-operands and loss flags on either side."""
+``series_oracle``: equal cutoffs, coefficients and precisions on Fp and
+Fp2, Laurent exponents, operands of different cutoffs, exact-zero operands
+and precisions below the cutoff on either side."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +22,9 @@ def elements(F):
 def series1(F):
     coeffs = st.one_of(st.just({}), st.dictionaries(
         st.integers(-3, 9), elements(F), max_size=6))
-    return st.builds(lambda K, c, loss: Series1(F, K, c, loss),
-                     st.integers(-2, 8), coeffs, st.booleans())
+    return st.builds(lambda K, c, prec: Series1(F, K, c, prec=prec),
+                     st.integers(-2, 8), coeffs,
+                     st.one_of(st.none(), st.integers(-6, 8)))
 
 
 def series3(p):
@@ -35,8 +37,7 @@ def series3(p):
 def assert_same(got, want):
     assert got.cutoff == want.cutoff
     assert got.coeffs == want.coeffs
-    assert getattr(got, "truncation_loss", None) == getattr(
-        want, "truncation_loss", None)
+    assert getattr(got, "prec", None) == getattr(want, "prec", None)
 
 
 @settings(max_examples=400, deadline=None)
@@ -53,8 +54,11 @@ def test_series1_matches_the_oracle(case):
     assert_same(f.scal(c), oracle.scal1(f, c))
     assert_same(f.shift(e0), oracle.shift1(f, e0))
     assert_same(f.frobenius_substitute(s), oracle.frobenius_substitute1(f, s))
-    if not f.is_zero():
+    if f.coeffs and min(f.coeffs) < f.prec:
         assert_same(f.inverse(), oracle.inverse1(f))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f.inverse()
 
 
 @settings(max_examples=300, deadline=None)

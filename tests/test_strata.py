@@ -91,52 +91,49 @@ def test_chase_forward_examples():
     assert res.order == p * p + p
 
 
-def _lossy_zero(B, K):
-    # t^(K-1) twisted once lands past the cutoff: zero, with truncation loss
-    return Series1.monomial(B, K, K - 1).frobenius_substitute(1)
-
-
-def test_apply_keeps_the_loss_of_a_zero_operand():
-    """Column 1 of the (1,1) model's Vhat is zero, and rows 2 and 3 are
-    zero: a lossy zero in slot 1 still marks every row of the product."""
+def test_apply_reads_the_precision_of_its_products():
+    """Column 1 of the (1,1) model's Vhat is zero: a zero known mod t^20 in
+    slot 1 meets only exact-zero entries and leaves every row exact, while
+    in slot 0 it lowers each row whose entry it meets by that entry's
+    valuation."""
     p, K = 5, 40
     model, _ = model_1_1(p, K)
     B = model.base
     assert all(row[1].is_zero() for row in model.Vhat)
-    one = Series1.const(B, K, 1)
-    vec = (one, _lossy_zero(B, K), one, Series1.zero(B, K))
-    out = model.apply("V", 1, vec)
-    assert all(c.truncation_loss for c in out)
+    zero, one = Series1.zero(B, K), Series1.const(B, K, 1)
+    lossy = Series1(B, K, prec=20)
+    out = model.apply("V", 1, (one, lossy, one, zero))
+    assert [c.prec for c in out] == [K] * 4
     assert out[0].coeffs == {5: 1} and out[1].coeffs == {0: 1}
     assert out[2].is_zero() and out[3].is_zero()
-    # an exact zero in the same slot marks nothing
-    exact = model.apply("V", 1, (one, Series1.zero(B, K), one,
-                                 Series1.zero(B, K)))
-    assert not any(c.truncation_loss for c in exact)
-    # at K = 3 the twist of t loses t^5, so row 0 is marked where that entry
-    # meets an exact zero; row 1's entry 1 loses nothing
+    # row 0 meets it through t^5, row 1 through 1
+    out = model.apply("V", 1, (lossy, zero, zero, one))
+    assert [c.prec for c in out] == [25, 20, K, K]
+    assert out[0].coeffs == {0: 1} and out[1].is_zero()
+    # at K = 3 the twist of t truncates t^5, which loses nothing
     model, _ = model_1_1(p, 3)
     zero, one = Series1.zero(B, 3), Series1.const(B, 3, 1)
-    out = model.apply("V", 1, (zero, zero, zero, one))
-    assert out[0].coeffs == {0: 1} and out[0].truncation_loss
-    assert out[1].is_zero() and not out[1].truncation_loss
+    out = model.apply("V", 1, (one, zero, zero, zero))
+    assert out[0].is_zero() and out[0].prec == 3
+    assert out[1].coeffs == {0: 1} and out[1].prec == 3
 
 
-def test_solve_line_keeps_the_loss_of_a_zero_in_the_pivot_row():
+def test_solve_line_keeps_the_precision_of_a_zero_in_the_pivot_row():
     """Eliminating the second column subtracts multiples of its pivot row,
-    whose target entry is a lossy zero: x_0 keeps its value and is marked."""
+    whose target entry is a zero known mod t^20: x_0 keeps its value and
+    that precision."""
     p, K = 5, 40
     model, _ = model_1_1(p, K)
     B = model.base
     zero, one = Series1.zero(B, K), Series1.const(B, K, 1)
     gen = (one, zero, zero, zero)
     rel = (one, one, zero, zero)
-    target = (Series1.const(B, K, 3), _lossy_zero(B, K), zero, zero)
+    target = (Series1.const(B, K, 3), Series1(B, K, prec=20), zero, zero)
     x0 = _solve_line(model, [gen, rel], target)
-    assert x0.coeffs == {0: 3} and x0.truncation_loss
+    assert x0.coeffs == {0: 3} and x0.prec == 20
     target = (Series1.const(B, K, 3), zero, zero, zero)
     x0 = _solve_line(model, [gen, rel], target)
-    assert x0.coeffs == {0: 3} and not x0.truncation_loss
+    assert x0.coeffs == {0: 3} and x0.prec == K
 
 
 def test_chase_left_the_line():
@@ -230,6 +227,27 @@ def test_chases_at_every_small_cutoff():
     assert len(cases) == 490
     assert hashlib.sha256("\n".join(cases).encode()).hexdigest() == (
         "9927a85703c3a065275dd46d1c090aee633bd6948b66b600e7096b4b22cb7f9d")
+
+
+# (phi, variant) -> the least cutoff at which the chases read the order
+LEAST_CUTOFF = {((1, 1), 1): lambda p: p * p + 2 * p,
+                ((1, 1), 2): lambda p: p * p + p + 1,
+                ((0, 1), None): lambda p: p ** 4 + 1}
+
+
+@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("case", list(LEAST_CUTOFF))
+def test_least_cutoff(case, p):
+    """One cutoff below the least, the order is refused; from the least to
+    four past it, the closed form is read (the digest above covers p = 5
+    and 7)."""
+    phi, variant = case
+    least = LEAST_CUTOFF[case](p)
+    with pytest.raises(StrataError, match="^order exceeds cutoff$"):
+        partial_hasse_order(phi, p, variant=variant, K=least - 1)
+    want = HASSE_CASES[case].value(p)
+    for K in range(least, least + 5):
+        assert partial_hasse_order(phi, p, variant=variant, K=K) == want
 
 
 def _span(rows, p):
