@@ -24,13 +24,14 @@ Canonical serialization sorts indices by (a, c, b); b may be negative.
 The ``QExpansion`` constructor and :func:`parse` check each form that enters
 the program.  Operators derive results from valid forms through _derive,
 unchecked, and keep the constructor's invariant: semi-positive int indices,
-nonzero vectors of k1 - k2 + 1 residues in [0, p), the parity of k1 + k2.
+nonzero vectors of k1 - k2 + 1 int residues in [0, p), the parity of k1 + k2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .arith import _check_prime
 from .rep import Weight
@@ -42,6 +43,18 @@ class QExpError(ValueError):
     key = None
 
 
+def _int_entry(v, where: str) -> int:
+    """An index, coefficient or character entry as an int.  It must equal
+    its int(): 2.0 passes as 2, while 2.5, 1/2, "1" and None are refused."""
+    try:
+        i = int(v)
+        if i == v:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise QExpError(f"{where} has a non-integer entry")
+
+
 def check_index(T) -> tuple:
     """T as a triple of ints.  Each entry must equal its int() (2.0 passes
     as 2) and [[a, b/2], [b/2, c]] must be semi-positive."""
@@ -49,13 +62,9 @@ def check_index(T) -> tuple:
     if type(a) is int and type(b) is int and type(c) is int:
         index = (a, b, c)
     else:  # a bool, an IntEnum or an integral float becomes its int
-        try:
-            index = (int(a), int(b), int(c))
-        except (TypeError, ValueError, OverflowError):
-            index = None
-        if index != (a, b, c):
-            raise QExpError(f"index {T} has a non-integer entry")
-        a, b, c = index
+        where = f"index {T}"
+        index = a, b, c = (_int_entry(a, where), _int_entry(b, where),
+                           _int_entry(c, where))
     if a < 0 or c < 0 or 4 * a * c - b * b < 0:
         raise QExpError(f"index {T} violates semi-positivity")
     return index
@@ -85,8 +94,10 @@ class QExpansion:
         clean = {}
         try:  # a refused entry or table is the error's key
             for key, vec in self.support.items():
-                vec = tuple([v % p for v in vec])
                 T = check_index(key)
+                vec = tuple([v % p if type(v) is int else
+                             _int_entry(v, f"coefficient at {T}") % p
+                             for v in vec])
                 if len(vec) != width:
                     raise QExpError(f"coefficient at {T} has length "
                                     f"{len(vec)}, expected {width}")
@@ -99,8 +110,9 @@ class QExpansion:
                     if len(tab) != self.N:
                         raise QExpError(f"{key} table must have N={self.N} "
                                         f"entries")
-                    object.__setattr__(self, key,
-                                       tuple(v % p for v in tab))
+                    object.__setattr__(self, key, tuple([
+                        v % p if type(v) is int else
+                        _int_entry(v, f"{key} table") % p for v in tab]))
         except QExpError as err:
             err.key = key
             raise
@@ -129,9 +141,11 @@ def serialize(F: QExpansion) -> str:
             lines.append(f"{name} trivial")
         else:
             lines.append(f"{name} table:" + " ".join(str(v) for v in tab))
-    for (a, b, c) in sorted(F.support, key=lambda t: (t[0], t[2], t[1])):
-        vec = F.support[(a, b, c)]
-        lines.append(f"coeff {a} {b} {c} : " + " ".join(str(v) for v in vec))
+    # every entry is an int, so %d prints what str() would
+    coeff = "coeff %d %d %d :" + " %d" * (F.weight.n + 1)
+    support = F.support
+    lines += [coeff % (T + support[T])
+              for T in sorted(support, key=itemgetter(0, 2, 1))]
     return "\n".join(lines) + "\n"
 
 

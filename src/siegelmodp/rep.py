@@ -14,11 +14,11 @@ components V(n+2, m), V(n, m+1), V(n-2, m+2).  They are the transvectants
 of the Omega-process (Olver, *Classical Invariant Theory*, ch. 5): the
 product, the first transvectant over n+2 and the second over 2n(n+1).
 Their closed forms live in one place, the table ``_pieri_table(n, p, r)``,
-which keeps only the last one built: for each output index, at most three
-(column, source index, weight) triples over the tensor's three columns,
-the V(n, m) vectors paired with e1^2, e1 e2 and e2^2, with the inverse
-denominator folded into the weights.  The projector
-:func:`pieri_component` sums those terms over given columns;
+which keeps only the last one built: for each output index, one flat row
+``(i0, w0, i1, w1, i2, w2)`` holding a (source index, weight) pair for each
+of the tensor's three columns, the V(n, m) vectors paired with e1^2, e1 e2
+and e2^2, with the inverse denominator folded into the weights.  The
+projector :func:`pieri_component` sums those terms over given columns;
 :func:`pieri_split` fills the columns of a tensor given as a dict and
 calls it three times, and ``theta`` reads the table directly.  For n in
 {p-2, p-1} only the V(n-2, m+2) component is defined.  At n = p-1 its
@@ -168,40 +168,42 @@ def has_pieri_component(n: int, p: int, r: int) -> bool:
 @lru_cache(maxsize=1)
 def _pieri_table(n: int, p: int, r: int) -> tuple | None:
     """The projector onto component ``x<r>`` of V(n) (x) V(2): for each
-    output index k, the ``(column, source index, weight)`` triples with
-    x<r>[k] = sum of weight * c<column>[source index] mod p.
+    output index k, the flat row ``(i0, w0, i1, w1, i2, w2)`` with
+    x<r>[k] = w0 * c0[i0] + w1 * c1[i1] + w2 * c2[i2] mod p.
 
     The weights are the Omega-process coefficients above over their
     denominator (1, n+2 or 2n(n+1), with the factor p of n+1 dropped at
-    n = p-1), reduced mod p; terms of weight 0 mod p and source indices
-    outside 0..n are left out.  None where the component does not exist.
-    Only the last table is kept: theta_j reads one (n, p, r) per form.
+    n = p-1), reduced mod p.  A source outside 0..n reads index 0 with
+    weight 0.  None where the component does not exist.  Only the last
+    table is kept: theta_j reads one (n, p, r) per form.
     """
     _check_component(n, p, r)
     if not has_pieri_component(n, p, r):
         return None
     denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
     inverse = pow(denominator, p - 2, p)
-    # each weight is a unit mod p and each source lies in 0..n, except in
-    # the rows of ``edges`` (n - 2k of x1 vanishes at k = n/2)
+    # each source lies in 0..n, except in the rows of ``edges``
     if r == 0:
-        rows = [((0, k, 1), (1, k - 1, 1), (2, k - 2, 1))
-                for k in range(n + 3)]
+        rows = [(k, 1, k - 1, 1, k - 2, 1) for k in range(n + 3)]
         edges = (0, 1, n + 1, n + 2)
     elif r == 1:
-        rows = [((1, k, (n - 2 * k) * inverse % p),
-                 (0, k + 1, -2 * (k + 1) * inverse % p),
-                 (2, k - 1, 2 * (n - k + 1) * inverse % p))
+        rows = [(k + 1, -2 * (k + 1) * inverse % p,
+                 k, (n - 2 * k) * inverse % p,
+                 k - 1, 2 * (n - k + 1) * inverse % p)
                 for k in range(n + 1)]
-        edges = (0, n // 2, n)
+        edges = (0, n)
     else:
-        rows = [((0, k + 2, 2 * (k + 2) * (k + 1) * inverse % p),
-                 (1, k + 1, -2 * (k + 1) * (n - k - 1) * inverse % p),
-                 (2, k, 2 * (n - k) * (n - k - 1) * inverse % p))
+        rows = [(k + 2, 2 * (k + 2) * (k + 1) * inverse % p,
+                 k + 1, -2 * (k + 1) * (n - k - 1) * inverse % p,
+                 k, 2 * (n - k) * (n - k - 1) * inverse % p)
                 for k in range(n - 1)]
         edges = ()
     for k in edges:
-        rows[k] = tuple(t for t in rows[k] if t[2] and 0 <= t[1] <= n)
+        row = list(rows[k])
+        for c in (0, 2, 4):
+            if not 0 <= row[c] <= n:
+                row[c:c + 2] = (0, 0)
+        rows[k] = tuple(row)
     return tuple(rows)
 
 
@@ -217,13 +219,10 @@ def pieri_component(n: int, p: int, cols, r: int) -> RepVector | None:
     rows = _pieri_table(n, p, r)
     if rows is None:
         return None
-    out = []
-    for row in rows:
-        s = 0
-        for c, i, w in row:
-            s += w * cols[c][i]
-        out.append(s % p)
-    return RepVector(n + 2 - 2 * r, r, tuple(out))
+    c0, c1, c2 = cols
+    return RepVector(n + 2 - 2 * r, r, tuple([
+        (w0 * c0[i0] + w1 * c1[i1] + w2 * c2[i2]) % p
+        for i0, w0, i1, w1, i2, w2 in rows]))
 
 
 def pieri_split(n: int, p: int, x: dict) -> PieriSplit:

@@ -16,12 +16,13 @@ theta_3        (k1, k2)    -> (k1 + p + 1, k2 + p - 1)
 
 theta_j keeps Pieri component x(3-j) of Sym^n tensor Sym^2, n = k1 - k2,
 and exists exactly where that component does (rep.has_pieri_component).
-It reads that component's table in ``rep`` (at most three
-(column, source index, weight) terms per output entry) and builds no
-columns: each output entry is the sum of weight * t[column] * A_F(T)[source]
-with t = T / N.  Scalar theta is theta_3 on scalar forms.  The operators
-that multiply by a power of det T fold its 1/4 into their constant once per
-form.
+theta_j maps theta_j_coefficient over the support.  That reads the
+component's table in ``rep``, one flat row (i0, w0, i1, w1, i2, w2) per
+output entry, and builds no columns: with t = T / N, each output entry is
+t0 w0 A_F(T)[i0] + t1 w1 A_F(T)[i1] + t2 w2 A_F(T)[i2], and the table fixes
+its length.  Scalar theta is theta_3 on scalar forms.  The operators that
+multiply by a power of det T fold its 1/4 into their constant once per form
+and drop each index whose multiplier is 0 mod p.
 
 Characters are unchanged.  Constant prefactors (2/3 for the big operator,
 1/18 in the four-fold closed form) are used exactly as given.  The tests
@@ -49,30 +50,21 @@ def _require_scalar(F: QExpansion, name: str):
                          f"({F.weight.k1},{F.weight.k2})")
 
 
-def _build(F: QExpansion, weight: Weight, coefficient) -> QExpansion:
-    """The form of the given weight whose coefficient at T is
-    ``coefficient(T, A_F(T))``, a tuple of weight.n + 1 residues mod p;
-    zero ones are dropped.  Each weight here keeps the parity of k1 + k2."""
-    support = {}
-    for T, vec in F.support.items():
-        new = coefficient(T, vec)
-        if any(new):
-            support[T] = new
-    return _derive(F, weight, support)
-
-
 def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:
     """F with its coefficient at T multiplied by (c det T)^e, where
     det T = (4ac - b^2)/4 is the determinant of the half-integral matrix of
-    T = (a, b, c); the 1/4 is folded into c once per form."""
+    T = (a, b, c); the 1/4 is folded into c once per form, and an index
+    whose multiplier is 0 mod p is dropped.  Each weight here keeps the
+    parity of k1 + k2."""
     p = F.p
     c4 = c * pow(4, p - 2, p) % p
-
-    def coefficient(T, vec):
+    support = {}
+    for T, vec in F.support.items():
         a, b, cc = T
         mult = pow(c4 * (4 * a * cc - b * b) % p, e, p)
-        return tuple(mult * v % p for v in vec)
-    return _build(F, weight, coefficient)
+        if mult:
+            support[T] = tuple([mult * v % p for v in vec])
+    return _derive(F, weight, support)
 
 
 def theta_scalar(F: QExpansion) -> QExpansion:
@@ -108,9 +100,9 @@ def _check_domain(n: int, p: int, j: int):
 def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
     """The coefficient of theta_j(F) at T, given A_F(T) = vec: the Pieri
     component x(3-j) of f (x) (a X^2 + b XY + c Y^2), f = vec / N.  Its
-    columns are a f, b f and c f, so each output entry is the sum of
-    weight * t[column] * vec[source] over a row of the Pieri table, with
-    t = T / N."""
+    columns are a f, b f and c f, so each output entry is
+    t0 w0 vec[i0] + t1 w1 vec[i1] + t2 w2 vec[i2] over a row
+    (i0, w0, i1, w1, i2, w2) of the Pieri table, with t = T / N."""
     if j not in (1, 2, 3):
         _check_domain(n, p, j)
     r = 3 - j
@@ -122,25 +114,32 @@ def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
     if rows is None:
         _check_domain(n, p, j)
     ninv = pow(N % p, p - 2, p)
-    t = [x * ninv % p for x in T]
-    out = []
-    for row in rows:
-        s = 0
-        for c, i, w in row:
-            s += w * t[c] * vec[i]
-        out.append(s % p)
-    return RepVector(n + 2 - 2 * r, r, tuple(out))
+    if not ninv:
+        raise ThetaError("level must be coprime to p")
+    a, b, c = T
+    a, b, c = a * ninv % p, b * ninv % p, c * ninv % p
+    # the table fixes the length, so the vector is built unchecked
+    out = object.__new__(RepVector)
+    vars(out).update(n=n + 2 - 2 * r, m=r, coords=tuple([
+        (a * w0 * vec[i0] + b * w1 * vec[i1] + c * w2 * vec[i2]) % p
+        for i0, w0, i1, w1, i2, w2 in rows]))
+    return out
 
 
 def theta_j(F: QExpansion, j: int) -> QExpansion:
-    """Vector-valued theta operator: tensor with the index, Pieri-project."""
-    p = F.p
+    """Vector-valued theta operator: tensor with the index, Pieri-project.
+    Each weight here keeps the parity of k1 + k2."""
+    p, N = F.p, F.N
     n = F.weight.n
     _check_domain(n, p, j)
+    support = {}
+    for T, vec in F.support.items():
+        new = theta_j_coefficient(vec, T, n, p, N, j).coords
+        if any(new):
+            support[T] = new
     d1, d2 = _WEIGHT_SHIFT[j]
-    return _build(F, Weight(F.weight.k1 + p + d1, F.weight.k2 + p + d2),
-                  lambda T, vec: theta_j_coefficient(
-                      vec, T, n, p, F.N, j).coords)
+    return _derive(F, Weight(F.weight.k1 + p + d1, F.weight.k2 + p + d2),
+                   support)
 
 
 def theta2_iterate_closed(F: QExpansion, m: int = 1) -> QExpansion:

@@ -19,7 +19,10 @@ and the component bases are f^(j)_i = E^i w_j / perm(n_j, i) with
 n_0 = n+2, n_1 = n, n_2 = n-2.
 
 ``tensor_action`` applies g in GL_2 to a tensor factor by factor, for the
-equivariance tests of the split.
+equivariance tests of the split.  ``pieri_table_triples`` builds the
+Omega-process table as the nonzero (column, source index, weight) triples
+of each output index, the reference for the flat rows of
+``rep._pieri_table``.
 """
 
 from fractions import Fraction
@@ -251,3 +254,30 @@ def tensor_action(n: int, m: int, g, x: dict, p: int) -> dict:
                 key = (a, b)
                 out[key] = (out.get(key, 0) + c * ca * cb) % p
     return {k: v for k, v in out.items() if v % p}
+
+
+def pieri_table_triples(n, p, r):
+    """Reference for ``rep._pieri_table``: for each output index k of
+    component ``x<r>``, the ``(column, source index, weight)`` triples with
+    x<r>[k] = sum of weight * c<column>[source index] mod p, leaving out
+    terms of weight 0 mod p and sources outside 0..n.  None where the
+    component does not exist."""
+    if r > n or (r < 2 and n >= p - 2):
+        return None
+    denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
+    inverse = pow(denominator, p - 2, p)
+    if r == 0:
+        rows = [((0, k, 1), (1, k - 1, 1), (2, k - 2, 1))
+                for k in range(n + 3)]
+    elif r == 1:
+        rows = [((1, k, (n - 2 * k) * inverse % p),
+                 (0, k + 1, -2 * (k + 1) * inverse % p),
+                 (2, k - 1, 2 * (n - k + 1) * inverse % p))
+                for k in range(n + 1)]
+    else:
+        rows = [((0, k + 2, 2 * (k + 2) * (k + 1) * inverse % p),
+                 (1, k + 1, -2 * (k + 1) * (n - k - 1) * inverse % p),
+                 (2, k, 2 * (n - k) * (n - k - 1) * inverse % p))
+                for k in range(n - 1)]
+    return tuple(tuple(t for t in row if t[2] and 0 <= t[1] <= n)
+                 for row in rows)

@@ -56,17 +56,24 @@ def test_theta_j_coefficient_matches_the_oracle_at_a_large_prime():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_table_rows_hold_at_most_three_nonzero_terms(p):
+    """Each flat row (i0, w0, i1, w1, i2, w2) holds one (source, weight)
+    pair per column, a source in 0..n and a residue weight; its nonzero
+    terms are the oracle's (column, source, weight) triples."""
     for n in range(p):
         for r in range(3):
             rows = rep._pieri_table(n, p, r)
+            want = pieri_oracle.pieri_table_triples(n, p, r)
             if not has_pieri_component(n, p, r):
-                assert rows is None
+                assert rows is None and want is None
                 continue
-            assert len(rows) == n + 3 - 2 * r
-            for row in rows:
-                assert len(row) <= 3
-                for c, i, w in row:
-                    assert c in (0, 1, 2) and 0 <= i <= n and 0 < w < p
+            assert len(rows) == len(want) == n + 3 - 2 * r
+            for row, triples in zip(rows, want):
+                assert len(row) == 6
+                assert all(0 <= i <= n for i in row[0::2])
+                assert all(0 <= w < p for w in row[1::2])
+                terms = {(c, row[2 * c], row[2 * c + 1]) for c in range(3)
+                         if row[2 * c + 1]}
+                assert terms == set(triples), (p, n, r, row, triples)
 
 
 def test_a_theta_1_chain_holds_one_table():

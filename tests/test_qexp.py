@@ -1,4 +1,7 @@
 import enum
+import hashlib
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,35 @@ def test_constructor_refuses_a_non_integer_index():
                                         r"non-integer entry$") as exc:
         mk(p=5, support={(1.2, 0, 1): (1,), (1.7, 0, 1): (2,)})
     assert exc.value.key == (1.2, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(1, 2), float("nan"),
+                                 float("inf"), "3", None, 1j])
+def test_constructor_refuses_a_non_integer_coefficient_entry(bad):
+    """%d would print 2.5 as 2, and str() prints text parse refuses; the
+    refusal is keyed by the index as given."""
+    with pytest.raises(QExpError, match=r"^coefficient at \(1, 0, 1\) has a "
+                                        r"non-integer entry$") as exc:
+        mk(p=5, weight=(5, 4), support={(1.0, 0, 1): (1, bad)})
+    assert exc.value.key == (1.0, 0, 1)
+    with pytest.raises(QExpError, match=r"^chi1 table has a non-integer "
+                                        r"entry$") as exc:
+        mk(p=5, chi1=(1, bad, 1))
+    assert exc.value.key == "chi1"
+
+
+def test_constructor_takes_an_integral_entry_as_its_int():
+    class Two(enum.IntEnum):
+        TWO = 2
+
+    F = mk(p=7, weight=(6, 4), chi1=(1.0, Fraction(4, 2), Decimal("3")),
+           support={(1, 0, 1): (2.0, Fraction(-2, 2), True),
+                    (0, 0, 1): (Two.TWO, 7.0, Decimal("-5"))})
+    assert F.support == {(1, 0, 1): (2, 6, 1), (0, 0, 1): (2, 0, 2)}
+    assert F.chi1 == (1, 2, 3)
+    for vec in (*F.support.values(), F.chi1):
+        assert all(type(v) is int for v in vec)
+    assert parse(serialize(F)) == F
 
 
 def test_validation():
@@ -124,6 +156,59 @@ def test_parse_errors_carry_line_numbers():
     # the constructor checks p before any entry, and names no line for it
     with pytest.raises(QExpError, match="^p must be a prime >= 5, got 4$"):
         parse("%SMF v1\np 4\nN 3\nweight 4 4\ncoeff -1 0 0 : 1\n")
+
+
+def serialize_forms():
+    """Forms whose text the codec must keep byte for byte: no support, a
+    scalar and a 13-entry weight, negative b, both character tables, and
+    entries near p = 2^61 - 1."""
+    big = 2 ** 61 - 1
+    return {
+        "empty": mk(p=7, N=3, weight=(4, 4)),
+        "n0": mk(p=11, N=4, weight=(6, 6), support={
+            (0, 0, 0): (5,), (1, 1, 1): (10,), (2, 0, 1): (-1,),
+            (1, -2, 1): (3,), (3, 2, 1): (12,)}),
+        "n12": mk(p=13, N=5, weight=(16, 4), support={
+            (a, b, c): tuple((7 * a + 3 * b + c + i * i) % 13
+                             for i in range(13))
+            for a in range(3) for c in range(3) for b in range(-2, 3)
+            if b * b <= 4 * a * c}),
+        "negative_b": mk(p=7, N=3, weight=(5, 3), support={
+            (1, -1, 1): (1, 2, 3), (2, -3, 2): (0, 0, 6),
+            (1, -2, 1): (4, 0, 0), (5, -9, 7): (2, 5, 1),
+            (1, 1, 1): (6, 6, 6)}),
+        "characters": mk(p=13, N=5, weight=(7, 3), support={
+            (1, 0, 1): (1, 2, 3, 4, 5), (1, -1, 2): (0, 12, 0, 7, 0),
+            (2, 2, 1): (9, 0, 0, 0, 1)},
+            chi1=(0, 1, 5, 8, 12), chi2=(0, 1, 12, 12, 1)),
+        "large_p": mk(p=big, N=3, weight=(5, 3), support={
+            (1, 1, 1): (big - 1, big - 2, 1),
+            (0, 0, 1): (0, big // 2, big + 5),
+            (4, -3, 2): (-1, -big + 1, 2 ** 60)}),
+    }
+
+
+# sha256 of serialize(form), as first recorded
+SERIALIZE_PINS = {
+    "empty": "cce8d93f998579a4dd42c77bf9d79ecaa29901f9193c4cb092b10b58bdc12256",
+    "n0": "6a8a307bf35424e41ab2b5bcaea2f1579ddf767e04bd6b0ed4d9f5f304411ac1",
+    "n12": "e179405b0193a67fe45a7ff783d7910a85974527595a1dbe41abb9ff316b4656",
+    "negative_b":
+        "9714fe813f05ca1aba35f5373e2627c5aa9fc3d4de2802b327dc6a43b6e1aa93",
+    "characters":
+        "44124a01d5a8f850244309eab42025936060bf6af01ec4cb628877a4ed7c432d",
+    "large_p":
+        "339b6b15d7af8396e92a0fd6b5128db031128e5492ce6ade81278d7677732d2e",
+}
+
+
+def test_serialize_is_pinned():
+    forms = serialize_forms()
+    got = {name: hashlib.sha256(serialize(F).encode("utf-8")).hexdigest()
+           for name, F in forms.items()}
+    assert got == SERIALIZE_PINS
+    for F in forms.values():
+        assert parse(serialize(F)) == F
 
 
 @pytest.mark.parametrize("line", ["p 11", "N 5", "weight 6 6",
