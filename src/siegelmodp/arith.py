@@ -135,7 +135,7 @@ class Fp:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_p")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def pow(self, a, n: int):
         if n < 0:
@@ -208,7 +208,7 @@ class Fp2:
             if a % self.p == 0 and b % self.p == 0:
                 raise ZeroDivisionError("inverse of zero in F_{p^2}")
             raise AssertionError("norm vanished on a nonzero element")
-        ninv = pow(n, self.p - 2, self.p)
+        ninv = pow(n, -1, self.p)
         return ((a * ninv) % self.p, (-b * ninv) % self.p)
 
     def pow(self, x, n: int):
@@ -295,7 +295,7 @@ def echelon(rows, p: int):
         else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
+        inv = pow(rows[r][col], -1, p)
         top = rows[r] = [x * inv % p for x in rows[r]]
         for i, row in enumerate(rows):
             if i != r and (f := row[col]):
@@ -317,19 +317,6 @@ def kernel(rows, p: int, width: int):
 # ---------------------------------------------------------------------------
 # univariate truncated series (Laurent exponents permitted)
 # ---------------------------------------------------------------------------
-
-def _neumann(first, x):
-    """first/(1 - x), the sum of first*x^k below the cutoff, for x with no
-    constant.
-
-    The first term that vanishes is added too: it vanishes only to its
-    precision, which bounds the terms left out."""
-    acc = term = first
-    while term.coeffs:
-        term = term.mul(x)
-        acc = acc.add(term)
-    return acc
-
 
 class Series1:
     """Sparse univariate truncated series sum_e c_e * t^e + O(t^prec).
@@ -460,23 +447,36 @@ class Series1:
     def inverse(self):
         """Inverse of a series whose lowest term is invertible.
 
-        Writes f = c*t^e*(1-x) with order(x) >= 1 and expands the geometric
-        series; its precision follows from the operations.  A series that is
-        zero to its precision has no known lowest term and is refused.
+        Writes f = c*t^e*(1 - x) with order(x) >= 1, and computes
+        b = 1/(c(1 - x)) term by term: b_0 = 1/c, b_n = sum_k x_k b_(n-k).
+        The result is known to the precision of f/t^e, moved by t^-e.  A
+        series that is zero to its precision has no known lowest term and is
+        refused.
         """
         e0 = self.order()
         if e0 is None or e0 >= self.prec:
             raise ZeroDivisionError(
                 "inverse of a series that is zero to its precision")
-        F = self.field
+        F, K = self.field, self.cutoff
+        add, mul = F.add, F.mul
         c0inv = F.inv(self.coeffs[e0])
-        u = self.shift(-e0)
-        # x = 1 - u/c, whose constant term cancels
         m = F.neg(c0inv)
-        x = u._like({e: F.mul(m, c) for e, c in u.coeffs.items() if e},
-                    u.prec)
-        first = Series1.const(F, self.cutoff, c0inv)
-        return _neumann(first, x).shift(-e0)
+        # the terms k, x_k of x = 1 - f/(c t^e) below the cutoff
+        xs = sorted((e - e0, mul(m, c)) for e, c in self.coeffs.items()
+                    if e0 < e < K + e0)
+        # b_n for the n that land below the cutoff after the shift by -e;
+        # the inverse of a monomial (no x) is one term
+        b = [c0inv]
+        for n in range(1, min(K, K + e0) if xs else 1):
+            acc = F.zero
+            for k, xk in xs:
+                if k > n:
+                    break
+                acc = add(acc, mul(xk, b[n - k]))
+            b.append(acc)
+        prec = min(K, self.prec - e0)
+        return self._like({n - e0: c for n, c in enumerate(b) if n - e0 < K},
+                          min(K, prec - e0))
 
     # -- semilinear substitution -------------------------------------------
     def frobenius_substitute(self, s: int = 1):
@@ -508,6 +508,16 @@ class Series1:
 # ---------------------------------------------------------------------------
 # trivariate truncated series over F_p
 # ---------------------------------------------------------------------------
+
+def _neumann(first, x):
+    """first/(1 - x), the sum of first*x^k below the cutoff, for x with no
+    constant."""
+    acc = term = first
+    while term.coeffs:
+        term = term.mul(x)
+        acc = acc.add(term)
+    return acc
+
 
 class Series3:
     """Sparse series in t11, t12, t22 over F_p, truncated at total degree K.
@@ -629,7 +639,7 @@ class Series3:
         c0 = self.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("not a unit in the local ring")
-        c0inv = pow(c0, self.p - 2, self.p)
+        c0inv = pow(c0, -1, self.p)
         one = Series3.const(self.p, self.cutoff, 1)
         return _neumann(one, one.sub(self.scal(c0inv))).scal(c0inv)
 

@@ -272,7 +272,7 @@ def _plan(ell: int, i: int, N: int, n: int, p: int, scheme: str,
     ell^(-n beta) Sym^n(adj(diag(1, ell^beta) U)) mod p as a tuple of
     columns: entry t of column s is coordinate s of the image of u_t.
     """
-    linv = pow(ell % p, p - 2, p)
+    linv = pow(ell, -1, p)  # _check_operator refuses ell = p
     weight = Weight(n, 0)
     basis = [RepVector(n, 0, tuple(int(s == t) for s in range(n + 1)))
              for t in range(n + 1)]
@@ -405,7 +405,7 @@ def eigenvalue(F: QExpansion, ell: int, i: int,
         vec = F.support[T]
         lead = next((t for t, c in enumerate(vec) if c % p), None)
         if lam is None and lead is not None:
-            lam = img[lead] * pow(vec[lead], p - 2, p) % p
+            lam = img[lead] * pow(vec[lead], -1, p) % p
         matches = all((img[t] - (lam or 0) * vec[t]) % p == 0
                       for t in range(len(vec)))
         report.append((T, matches))

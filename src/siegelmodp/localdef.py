@@ -40,7 +40,7 @@ def hasse_form(p: int, K: int) -> Series3:
 
 def _inv(n: int, p: int) -> int:
     # n is 2, 3, 4, 6 or 9: a unit at every p that Series3 admits
-    return pow(n, p - 2, p)
+    return pow(n, -1, p)
 
 
 def theta_local(F: Series3, k: int):

@@ -25,11 +25,20 @@ The ``QExpansion`` constructor and :func:`parse` check each form that enters
 the program.  Operators derive results from valid forms through _derive,
 unchecked, and keep the constructor's invariant: semi-positive int indices,
 nonzero vectors of k1 - k2 + 1 int residues in [0, p), the parity of k1 + k2.
+
+:func:`parse` converts each token once, on its line, into one flat list of
+entries.  It checks them after the last line, where p and the weight are
+known: the entry count of every line and the semi-positivity of every index
+at once, then a reduction mod p only if some entry lies outside [0, p).  A
+form that fails goes through the constructor's entry-by-entry walk, which
+names the first refused line.  The constructor keeps tuples of int residues
+as they are and reads the entries of any other vector one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice, starmap
 from math import gcd
 from operator import itemgetter
 
@@ -55,6 +64,11 @@ def _int_entry(v, where: str) -> int:
     raise QExpError(f"{where} has a non-integer entry")
 
 
+def _semipositive(a: int, b: int, c: int) -> bool:
+    """True when [[a, b/2], [b/2, c]] is semi-positive."""
+    return a >= 0 and c >= 0 and 4 * a * c >= b * b
+
+
 def check_index(T) -> tuple:
     """T as a triple of ints.  Each entry must equal its int() (2.0 passes
     as 2) and [[a, b/2], [b/2, c]] must be semi-positive."""
@@ -65,7 +79,7 @@ def check_index(T) -> tuple:
         where = f"index {T}"
         index = a, b, c = (_int_entry(a, where), _int_entry(b, where),
                            _int_entry(c, where))
-    if a < 0 or c < 0 or 4 * a * c - b * b < 0:
+    if not _semipositive(a, b, c):
         raise QExpError(f"index {T} violates semi-positivity")
     return index
 
@@ -74,6 +88,79 @@ def _check_level(N: int, error) -> None:
     """The one lower bound on a level, shared with ``hecke``: N >= 3."""
     if N < 3:
         raise error("level N must be >= 3")
+
+
+def _check_metadata(p: int, N: int) -> None:
+    """The checks of p and N, which come before every other check."""
+    _check_prime(p, QExpError)
+    _check_level(N, QExpError)
+    if gcd(N, p) != 1:
+        raise QExpError("level must be coprime to p")
+
+
+def _residues(entries: list, p: int) -> bool:
+    """True when the ints ``entries`` all lie in [0, p) already."""
+    return not entries or (min(entries) >= 0 and max(entries) < p)
+
+
+def _drop_zeros(support: dict, width: int) -> dict:
+    zero = (0,) * width
+    if zero in support.values():
+        return {T: vec for T, vec in support.items() if vec != zero}
+    return support
+
+
+def _checked_support(support: dict, p: int, width: int) -> dict:
+    """``support`` with triples of ints as indices and tuples of ``width``
+    residues mod p as vectors, zero vectors dropped.  The first entry that
+    is refused, in order, raises a QExpError keyed by its index as given."""
+    values = support.values()
+    # tuples of width residues are kept as they are; else each entry is read
+    kept = {*map(type, values)} <= {tuple} and {*map(len, values)} <= {width}
+    if kept:
+        entries = [*chain.from_iterable(values)]
+        kept = {*map(type, entries)} <= {int} and _residues(entries, p)
+    clean = {}
+    try:
+        for key, vec in support.items():
+            T = check_index(key)
+            if not kept:
+                vec = tuple([v % p if type(v) is int else
+                             _int_entry(v, f"coefficient at {T}") % p
+                             for v in vec])
+                if len(vec) != width:
+                    raise QExpError(f"coefficient at {T} has length "
+                                    f"{len(vec)}, expected {width}")
+            clean[T] = vec
+    except QExpError as err:
+        err.key = key
+        raise
+    return _drop_zeros(clean, width)
+
+
+def _check_characters(F) -> None:
+    """Check F's character tables, which must have N entries, and replace
+    them by tuples of residues mod p; then check chi2(-1) = (-1)^(k1+k2).
+    A refused table raises a QExpError keyed by "chi1" or "chi2"."""
+    N, p = F.N, F.p
+    for key in ("chi1", "chi2"):
+        tab = getattr(F, key)
+        if tab is not None:
+            try:
+                if len(tab) != N:
+                    raise QExpError(f"{key} table must have N={N} entries")
+                object.__setattr__(F, key, tuple([
+                    v % p if type(v) is int else
+                    _int_entry(v, f"{key} table") % p for v in tab]))
+            except QExpError as err:
+                err.key = key
+                raise
+    if F.chi2 is not None:
+        val = F.chi2[(-1) % N]
+        want = pow(-1, F.weight.k1 + F.weight.k2, p)
+        if val != want:
+            raise QExpError(
+                f"parity violation: chi2(-1)={val}, expected {want}")
 
 
 @dataclass(frozen=True)
@@ -86,42 +173,10 @@ class QExpansion:
     chi2: tuple | None = None
 
     def __post_init__(self):
-        _check_prime(self.p, QExpError)
-        _check_level(self.N, QExpError)
-        if gcd(self.N, self.p) != 1:
-            raise QExpError("level must be coprime to p")
-        p, width = self.p, self.weight.n + 1
-        clean = {}
-        try:  # a refused entry or table is the error's key
-            for key, vec in self.support.items():
-                T = check_index(key)
-                vec = tuple([v % p if type(v) is int else
-                             _int_entry(v, f"coefficient at {T}") % p
-                             for v in vec])
-                if len(vec) != width:
-                    raise QExpError(f"coefficient at {T} has length "
-                                    f"{len(vec)}, expected {width}")
-                if any(vec):
-                    clean[T] = vec
-            object.__setattr__(self, "support", clean)
-            for key in ("chi1", "chi2"):
-                tab = getattr(self, key)
-                if tab is not None:
-                    if len(tab) != self.N:
-                        raise QExpError(f"{key} table must have N={self.N} "
-                                        f"entries")
-                    object.__setattr__(self, key, tuple([
-                        v % p if type(v) is int else
-                        _int_entry(v, f"{key} table") % p for v in tab]))
-        except QExpError as err:
-            err.key = key
-            raise
-        if self.chi2 is not None:  # chi2(-1) must be (-1)^(k1+k2)
-            val = self.chi2[(-1) % self.N]
-            want = pow(-1, self.weight.k1 + self.weight.k2, self.p)
-            if val != want:
-                raise QExpError(
-                    f"parity violation: chi2(-1)={val}, expected {want}")
+        _check_metadata(self.p, self.N)
+        object.__setattr__(self, "support", _checked_support(
+            self.support, self.p, self.weight.n + 1))
+        _check_characters(self)
 
     def metadata_like(self, other) -> bool:
         return (self.p == other.p and self.N == other.N
@@ -154,31 +209,34 @@ def parse(text: str) -> QExpansion:
     if not lines or lines[0].strip() != "%SMF v1":
         raise QExpError("line 1: missing %SMF v1 magic")
     headers = {}
-    support = {}
-    line_of = {}  # header key or coefficient index -> its line number
+    header_line = {}
+    index_line = {}  # coefficient index -> its line number, in line order
+    entries = []  # the coefficient entries of every line, in line order
+    counts = []  # the number of entries on each coefficient line
     for ln, line in enumerate(lines[1:], start=2):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         try:
             if line.startswith("coeff "):
                 head, _, tail = line.partition(":")
                 parts = head.split()
                 if len(parts) != 4:
                     raise QExpError("malformed coeff index")
-                T = (int(parts[1]), int(parts[2]), int(parts[3]))
-                vec = tuple(map(int, tail.split()))
-                if T in support:
+                _, a, b, c = parts
+                T = (int(a), int(b), int(c))
+                start = len(entries)
+                entries.extend(map(int, tail.split()))
+                counts.append(len(entries) - start)
+                if index_line.setdefault(T, ln) != ln:
                     raise QExpError(f"duplicate index {T}")
-                support[T] = vec
-                line_of[T] = ln
+                continue
+            if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
             if key not in ("p", "N", "weight", "chi1", "chi2"):
                 raise QExpError(f"unknown header {key!r}")
             if key in headers:
                 raise QExpError(f"duplicate header {key!r}")
-            line_of[key] = ln
+            header_line[key] = ln
             if key in ("p", "N"):
                 headers[key] = int(rest)
             elif key == "weight":
@@ -196,16 +254,33 @@ def parse(text: str) -> QExpansion:
             raise QExpError(f"line {ln}: {e}") from None
     if not {"p", "N", "weight"} <= headers.keys():
         raise QExpError("missing required header (p, N or weight)")
+    p, N, weight = headers["p"], headers["N"], headers["weight"]
+    width = weight.n + 1
+    # The weight and N may follow the lines that need them, so entries and
+    # tables are checked after the last line, in the constructor's order.
     try:
-        return QExpansion(p=headers["p"], N=headers["N"],
-                          weight=headers["weight"], support=support,
-                          chi1=headers.get("chi1"), chi2=headers.get("chi2"))
+        _check_metadata(p, N)
+        if (counts.count(width) == len(counts)
+                and all(starmap(_semipositive, index_line))):
+            if not _residues(entries, p):
+                entries = [v % p for v in entries]
+            support = _drop_zeros(
+                dict(zip(index_line, zip(*[iter(entries)] * width))), width)
+        else:  # the constructor's walk names the first refused entry
+            flat = iter(entries)
+            support = _checked_support(
+                {T: tuple(islice(flat, n))
+                 for T, n in zip(index_line, counts)}, p, width)
+        F = object.__new__(QExpansion)
+        vars(F).update(p=p, N=N, weight=weight, support=support,
+                       chi1=headers.get("chi1"), chi2=headers.get("chi2"))
+        _check_characters(F)
     except QExpError as err:
-        # The weight and N may follow the lines that need them, so the
-        # constructor checks entries and tables; name the one it refused.
         if err.key is None:
             raise
-        raise QExpError(f"line {line_of[err.key]}: {err}") from None
+        ln = index_line.get(err.key) or header_line[err.key]
+        raise QExpError(f"line {ln}: {err}") from None
+    return F
 
 
 # ---------------------------------------------------------------------------

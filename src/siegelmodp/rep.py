@@ -181,7 +181,7 @@ def _pieri_table(n: int, p: int, r: int) -> tuple | None:
     if not has_pieri_component(n, p, r):
         return None
     denominator = (1, n + 2, 2 * n * (n + 1 if n < p - 1 else 1))[r]
-    inverse = pow(denominator, p - 2, p)
+    inverse = pow(denominator, -1, p)
     # each source lies in 0..n, except in the rows of ``edges``
     if r == 0:
         rows = [(k, 1, k - 1, 1, k - 2, 1) for k in range(n + 3)]
@@ -255,14 +255,14 @@ def pieri_reassemble(split: PieriSplit, n: int, p: int) -> dict:
         acc[(i, j)] = acc.get((i, j), 0) + c
 
     if split.x0 is not None:
-        r0 = pow((n + 2) * (n + 1), p - 2, p)
+        r0 = pow((n + 2) * (n + 1), -1, p)
         for k, h in enumerate(split.x0.coords):
             a, b = n + 2 - k, k
             add(k, 0, h * a * (a - 1) * r0)
             add(k - 1, 1, 2 * h * a * b * r0)
             add(k - 2, 2, h * b * (b - 1) * r0)
-    if split.x1 is not None:
-        r1 = pow(n, p - 2, p)
+    if split.x1 is not None and n:  # x1 is absent at n = 0
+        r1 = pow(n, -1, p)
         for k, g in enumerate(split.x1.coords):
             a, b = n - k, k
             add(k, 1, g * (a - b) * r1)

@@ -57,7 +57,7 @@ def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:
     whose multiplier is 0 mod p is dropped.  Each weight here keeps the
     parity of k1 + k2."""
     p = F.p
-    c4 = c * pow(4, p - 2, p) % p
+    c4 = c * pow(4, -1, p) % p
     support = {}
     for T, vec in F.support.items():
         a, b, cc = T
@@ -81,7 +81,7 @@ def big_theta(F: QExpansion, m: int = 1) -> QExpansion:
         raise ThetaError("iterate count must be >= 1")
     p = F.p
     k = F.weight.k1
-    base = 2 * pow(3, p - 2, p) * pow(F.N % p, 2 * (p - 2), p) % p
+    base = 2 * pow(3 * F.N * F.N, -1, p) % p
     return _det_power(F, base, m, Weight(k + m * (p + 1), k + m * (p + 1)))
 
 
@@ -113,9 +113,10 @@ def theta_j_coefficient(vec, T, n: int, p: int, N: int, j: int) -> RepVector:
     rows = _pieri_table(n, p, r)
     if rows is None:
         _check_domain(n, p, j)
-    ninv = pow(N % p, p - 2, p)
-    if not ninv:
-        raise ThetaError("level must be coprime to p")
+    try:
+        ninv = pow(N, -1, p)
+    except ValueError:
+        raise ThetaError("level must be coprime to p") from None
     a, b, c = T
     a, b, c = a * ninv % p, b * ninv % p, c * ninv % p
     # the table fixes the length, so the vector is built unchecked
@@ -153,7 +154,7 @@ def theta2_iterate_closed(F: QExpansion, m: int = 1) -> QExpansion:
     if m < 1:
         raise ThetaError("iterate count must be >= 1")
     p = F.p
-    base = pow(18 * pow(F.N, 2, p) % p, p - 2, p)
+    base = pow(18 * F.N * F.N, -1, p)
     return _det_power(F, base, 2 * m, Weight(F.weight.k1 + 4 * m * p,
                                              F.weight.k2 + 4 * m * p))
 

@@ -3,6 +3,8 @@
 Fp2, Laurent exponents, operands of different cutoffs, exact-zero operands
 and precisions below the cutoff on either side."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,3 +78,21 @@ def test_series3_matches_the_oracle(case):
         assert_same(f.derivation(name), oracle.derivation3(f, name))
     if f.constant_term():
         assert_same(f.inverse(), oracle.inverse3(f))
+
+
+@pytest.mark.parametrize("F", FIELDS)
+def test_series1_inverse_matches_the_neumann_series(F):
+    """The recurrence against the geometric series it replaced, on dense
+    series: Laurent and positive lowest terms, cutoffs up to 40, the
+    precision at or below the cutoff."""
+    rng = random.Random(repr(F))
+    draw = (lambda: rng.randrange(F.p)) if isinstance(F, Fp) else \
+        (lambda: (rng.randrange(F.p), rng.randrange(F.p)))
+    for _ in range(60):
+        K = rng.randint(1, 40)
+        e0 = rng.randint(-5, K - 1)
+        coeffs = {e: draw() for e in range(e0, K) if rng.random() < 0.8}
+        coeffs[e0] = F.one
+        prec = rng.choice((None, rng.randint(e0 + 1, K)))
+        f = Series1(F, K, coeffs, prec=prec)
+        assert_same(f.inverse(), oracle.neumann_inverse1(f))
