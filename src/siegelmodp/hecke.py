@@ -33,6 +33,9 @@ and kept in three small LRU caches of immutable values: the lift table of
 ell-power multipliers of :func:`_multipliers`.  ``eigenvalue`` and
 ``hecke_image`` (T(ell^i)F at a list of target indices) set their operator
 up once; ``p1_representatives`` returns a fresh list.
+
+:func:`reduce_gl2` sends an index T to the one form R of its GL2(Z) class,
+with the matrix U that does it, R = U T U^t.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .arith import _check_ell, _check_prime
@@ -177,6 +180,42 @@ def index_transform(U, T):
     c_U = a * x * x + b * x * y + c * y * y
     b_U = 2 * (a * u1 * x + c * u2 * y) + b * (u1 * y + u2 * x)
     return a_U, b_U, c_U
+
+
+def reduce_gl2(T) -> tuple:
+    """(R, U) with R = index_transform(U, T) and det U = +-1: R is the one
+    form of the GL2(Z) class of the semi-positive index T.
+
+    A definite T reduces to 0 <= b <= a <= c.  A degenerate T != 0 is
+    m (s x + t y)^2 with m = gcd(a, c) = gcd(a, b, c), s = sqrt(a/m) and
+    t = +-sqrt(c/m) of the sign of b; U = ((u1, u2), (t, -s)) with
+    s u1 + t u2 = +-1 sends it to (m, 0, 0).  The zero T is its own R, with
+    U the identity.
+    """
+    a, b, c = T = check_index(T)
+    if b * b == 4 * a * c:
+        if not (a or c):
+            return T, ((1, 0), (0, 1))
+        m = gcd(a, c)
+        s, t = isqrt(a // m), isqrt(c // m)
+        if b < 0:
+            t = -t
+        _, u1, u2 = _xgcd(s, t)
+        return (m, 0, 0), ((u1, u2), (t, -s))
+    R, U = T, ((1, 0), (0, 1))
+    while True:
+        a, b, c = R
+        (u1, u2), (x, y) = U
+        if c < a:  # (a, b, c) -> (c, b, a)
+            g, U = ((0, 1), (1, 0)), ((x, y), (u1, u2))
+        elif not -a < b <= a:  # b -> b + 2at in (-a, a]
+            t = (a - b) // (2 * a)
+            g, U = ((1, 0), (t, 1)), ((u1, u2), (x + t * u1, y + t * u2))
+        elif b < 0:  # b -> -b
+            g, U = ((1, 0), (0, -1)), ((u1, u2), (-x, -y))
+        else:
+            return R, U
+        R = index_transform(g, R)
 
 
 # Lift tables, plans and multiplier tables of the operators in use, each
@@ -412,32 +451,6 @@ def eigenvalue(F: QExpansion, ell: int, i: int,
     if lam is None:
         raise HeckeError("no checkable index")
     return lam, report
-
-
-def gauss_reduce(T) -> tuple:
-    """Canonical representative of the proper (SL2(Z)) equivalence class of T.
-
-    T = (a, b, c) stands for the positive semi-definite integral binary
-    quadratic form a x^2 + b xy + c y^2.  Definite forms are reduced to
-    -a < b <= a <= c (with b >= 0 when a == c); rank-1 forms reduce to
-    (d, 0, 0) with d = gcd(a, b, c); the zero form to (0, 0, 0).
-
-    Coefficient data that factors through this reduction is invariant under
-    every choice of representative lift in the Hecke sum.
-    """
-    a, b, c = check_index(T)
-    if 4 * a * c - b * b == 0:
-        return (gcd(gcd(a, b), c), 0, 0)
-    while True:
-        if c < a or (c == a and b < 0):
-            a, b, c = c, -b, a
-            continue
-        if b > a or b <= -a:
-            # shift b into (-a, a] via (x, y) -> (x + t y, y)
-            t = (a - b) // (2 * a)
-            a, b, c = a, b + 2 * t * a, c + t * b + t * t * a
-            continue
-        return (a, b, c)
 
 
 def constant_term_multiplier(ell: int, k: int, p: int) -> int:

@@ -31,14 +31,14 @@ entries.  It checks them after the last line, where p and the weight are
 known: the entry count of every line and the semi-positivity of every index
 at once, then a reduction mod p only if some entry lies outside [0, p).  A
 form that fails goes through the constructor's entry-by-entry walk, which
-names the first refused line.  The constructor keeps tuples of int residues
-as they are and reads the entries of any other vector one by one.
+names the first refused line.  The constructor reads the entries of every
+vector one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice, starmap
+from itertools import islice, starmap
 from math import gcd
 from operator import itemgetter
 
@@ -72,7 +72,10 @@ def _semipositive(a: int, b: int, c: int) -> bool:
 def check_index(T) -> tuple:
     """T as a triple of ints.  Each entry must equal its int() (2.0 passes
     as 2) and [[a, b/2], [b/2, c]] must be semi-positive."""
-    a, b, c = T
+    try:
+        a, b, c = T
+    except (TypeError, ValueError):
+        raise QExpError(f"index {T} is not a triple") from None
     if type(a) is int and type(b) is int and type(c) is int:
         index = (a, b, c)
     else:  # a bool, an IntEnum or an integral float becomes its int
@@ -114,23 +117,20 @@ def _checked_support(support: dict, p: int, width: int) -> dict:
     """``support`` with triples of ints as indices and tuples of ``width``
     residues mod p as vectors, zero vectors dropped.  The first entry that
     is refused, in order, raises a QExpError keyed by its index as given."""
-    values = support.values()
-    # tuples of width residues are kept as they are; else each entry is read
-    kept = {*map(type, values)} <= {tuple} and {*map(len, values)} <= {width}
-    if kept:
-        entries = [*chain.from_iterable(values)]
-        kept = {*map(type, entries)} <= {int} and _residues(entries, p)
     clean = {}
     try:
         for key, vec in support.items():
             T = check_index(key)
-            if not kept:
+            try:
                 vec = tuple([v % p if type(v) is int else
                              _int_entry(v, f"coefficient at {T}") % p
                              for v in vec])
-                if len(vec) != width:
-                    raise QExpError(f"coefficient at {T} has length "
-                                    f"{len(vec)}, expected {width}")
+            except TypeError:
+                raise QExpError(f"coefficient at {T} is not a vector") \
+                    from None
+            if len(vec) != width:
+                raise QExpError(f"coefficient at {T} has length "
+                                f"{len(vec)}, expected {width}")
             clean[T] = vec
     except QExpError as err:
         err.key = key

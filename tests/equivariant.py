@@ -11,19 +11,20 @@ where rho is ``rep.rep_apply`` at that weight and T -> U T U^t is
 sits at index N*T.
 
 :func:`equivariant_form` builds such data on every positive-definite T with
-a, c <= box.  It reduces T to the one form R of its GL2(Z) class with
-0 <= b <= a <= c, keeping the U with U T U^t = R.  It draws one random
-vector per class and averages it over the stabilizer of R: the matrices of
-:data:`SMALL` that fix R, at most 12 of them, so their count is a unit mod
-p >= 5.  Then A(T) = rho(U^-1) A(R).  :func:`violations` lists the pairs
-(T, U), U in :data:`SMALL`, at which a form breaks the identity.
+a, c <= box.  ``hecke.reduce_gl2`` reduces T to the one form R of its
+GL2(Z) class, 0 <= b <= a <= c, with the U such that U T U^t = R.  It
+draws one random vector per class and averages it over the stabilizer of
+R: the matrices of :data:`SMALL` that fix R, at most 12 of them, so their
+count is a unit mod p >= 5.  Then A(T) = rho(U^-1) A(R).
+:func:`violations` lists the pairs (T, U), U in :data:`SMALL`, at which a
+form breaks the identity.
 """
 
 import random
 from itertools import product
 from math import isqrt
 
-from siegelmodp.hecke import index_transform
+from siegelmodp.hecke import index_transform, reduce_gl2
 from siegelmodp.qexp import QExpansion
 from siegelmodp.rep import RepVector, rep_apply
 
@@ -32,33 +33,10 @@ SMALL = tuple(((a, b), (c, d)) for a, b, c, d in product((-1, 0, 1), repeat=4)
               if a * d - b * c in (1, -1))
 
 
-def _mul(g, h):
-    (a, b), (c, d) = g
-    (e, f), (x, y) = h
-    return ((a * e + b * x, a * f + b * y), (c * e + d * x, c * f + d * y))
-
-
 def _inverse(g):
     (a, b), (c, d) = g
     det = a * d - b * c  # +-1
     return ((det * d, -det * b), (-det * c, det * a))
-
-
-def reduce_gl2(T) -> tuple:
-    """(R, U) with R = U T U^t and 0 <= b <= a <= c, for a positive-definite
-    T = (a, b, c)."""
-    R, U = T, ((1, 0), (0, 1))
-    while True:
-        a, b, c = R
-        if c < a:
-            g = ((0, 1), (1, 0))                  # (a, b, c) -> (c, b, a)
-        elif not -a < b <= a:
-            g = ((1, 0), ((a - b) // (2 * a), 1))  # b -> b + 2at in (-a, a]
-        elif b < 0:
-            g = ((1, 0), (0, -1))                 # b -> -b
-        else:
-            return R, U
-        R, U = index_transform(g, R), _mul(g, U)
 
 
 def box_indices(box: int, N: int) -> set:

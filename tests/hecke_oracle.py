@@ -7,11 +7,12 @@ and ell-power multiplier of its (beta, gamma).  This is the sum that
 ``hecke_coefficient`` computed before its lifts and Sym^n matrices were
 cached, kept here to pin the cached path to the same numbers.
 :func:`eigenvalue` reads each index through that sum, as ``hecke.eigenvalue``
-did before it set its operator up once per call.
+did before it set its operator up once per call.  :func:`class_function_form`
+builds the class-function data of the lift-independence tests.
 """
 
 from siegelmodp.hecke import (HeckeError, _check_operator, index_transform,
-                              p1_representatives)
+                              p1_representatives, reduce_gl2)
 from siegelmodp.qexp import check_index
 from siegelmodp.rep import RepVector, Weight, rep_apply
 
@@ -38,6 +39,26 @@ def branches(ell, i, T, reps_by_beta):
                 yield beta, gamma, rep, (la * (a_U // lbg),
                                          la * (b_U // lg),
                                          la * ((c_U // lg) * ell ** beta))
+
+
+def class_function_form(p, N, ell, i, T, rng, seeds):
+    """A scalar support on every index that T(ell^i) reads at T under the
+    lifts of each (scheme, seed) in ``seeds``, with one value from ``rng``
+    per GL2(Z) class, keyed by ``reduce_gl2``.  Each such class is a union
+    of SL2(Z) classes, so the Hecke sum at T must not depend on the lifts."""
+    needed = set()
+    for scheme, seed in seeds:
+        reps = {b: p1_representatives(ell, b, N, scheme=scheme, seed=seed)
+                for b in range(i + 1)}
+        needed |= {T2 for *_, T2 in branches(ell, i, T, reps)}
+    values, support = {}, {}
+    for T2 in needed:
+        key = reduce_gl2(T2)[0]
+        if key not in values:
+            values[key] = rng.randrange(p)
+        if values[key]:
+            support[T2] = (values[key],)
+    return support
 
 
 def hecke_coefficient(F, ell, i, T, assume_complete=False, scheme="crt",

@@ -90,22 +90,6 @@ def test_acceptance_02_big_theta_composite():
 
 # -- 3: Hecke operators ----------------------------------------------------
 
-def _class_function_form(p, N, ell, i, T, rng, seeds):
-    values, needed = {}, set()
-    for scheme, seed in seeds:
-        reps = {b: hecke.p1_representatives(ell, b, N, scheme=scheme,
-                                            seed=seed)
-                for b in range(i + 1)}
-        needed |= {T2 for *_, T2 in hecke_oracle.branches(ell, i, T, reps)}
-    support = {}
-    for T2 in needed:
-        key = hecke.gauss_reduce(T2)
-        values.setdefault(key, rng.randrange(p))
-        if values[key]:
-            support[T2] = (values[key],)
-    return support
-
-
 def test_acceptance_03_hecke():
     t0 = time.monotonic()
     rng = random.Random(3)
@@ -132,8 +116,8 @@ def test_acceptance_03_hecke():
         for trial in range(3):
             T = (rng.randrange(0, 3), 0, rng.randrange(0, 3))
             seeds = [("crt", 0), ("random", trial + 1)]
-            F = mk(p, N, (6, 6),
-                   _class_function_form(p, N, ell, 1, T, rng, seeds))
+            F = mk(p, N, (6, 6), hecke_oracle.class_function_form(
+                p, N, ell, 1, T, rng, seeds))
             a = hecke.hecke_coefficient(F, ell, 1, T, assume_complete=True,
                                         scheme="crt")
             b = hecke.hecke_coefficient(F, ell, 1, T, assume_complete=True,

@@ -1,15 +1,15 @@
 import random
 import time
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 import hecke_oracle
 from siegelmodp.arith import _PRIME_BOUND
 from siegelmodp.hecke import (HeckeError, constant_term_multiplier,
-                              eigenvalue, gauss_reduce, hecke_coefficient,
-                              index_transform, p1_classes,
-                              p1_representatives, required_indices)
+                              eigenvalue, hecke_coefficient, index_transform,
+                              p1_classes, p1_representatives, reduce_gl2,
+                              required_indices)
 from siegelmodp.qexp import QExpError, QExpansion
 from siegelmodp.rep import Weight
 from siegelmodp.theta import theta_j
@@ -104,9 +104,14 @@ def test_a_non_integer_index_is_refused_not_truncated():
     F = mk(5, 3, (4, 4), {(0, 0, 0): (1,)})
     for call in (lambda T: hecke_coefficient(F, 2, 1, T,
                                              assume_complete=True),
-                 lambda T: required_indices(2, 1, T, 3)):
+                 lambda T: required_indices(2, 1, T, 3), reduce_gl2):
         with pytest.raises(QExpError, match="non-integer entry"):
             call((0.9, 0, 0))
+        for bad in [(1, 1), 5, (1, 0, 1, 2)]:
+            with pytest.raises(QExpError, match=r"is not a triple$"):
+                call(bad)
+        with pytest.raises(QExpError, match="semi-positivity"):
+            call((1, 3, 2))
         call((0.0, 0, 0))
 
 
@@ -141,47 +146,39 @@ def test_required_indices_match_the_oracle_branches():
                         (ell, i, N, T)
 
 
-def test_gauss_reduce():
-    assert gauss_reduce((0, 0, 0)) == (0, 0, 0)
-    assert gauss_reduce((4, 4, 1)) == (1, 0, 0)  # rank 1, gcd 1
-    assert gauss_reduce((2, 2, 2)) == (2, 2, 2)
+_GL2_GENERATORS = (((0, 1), (1, 0)), ((1, 1), (0, 1)), ((1, 0), (0, -1)))
+
+
+def _semipositive_index(rng):
+    """A random semi-positive T: definite, or m (s x + t y)^2 with either
+    sign of b = 2mst, or zero."""
+    if rng.randrange(4) == 0:
+        m, s, t = rng.randrange(1, 9), rng.randrange(6), rng.randrange(-5, 6)
+        return (m * s * s, 2 * m * s * t, m * t * t)
+    scale = rng.choice((6, 40, 10 ** 6))
+    a, c = rng.randrange(1, scale), rng.randrange(1, scale)
+    bmax = isqrt(4 * a * c - 1)
+    return (a, rng.randrange(-bmax, bmax + 1), c)
+
+
+def test_reduce_gl2():
+    identity = ((1, 0), (0, 1))
+    assert reduce_gl2((0, 0, 0)) == ((0, 0, 0), identity)
+    assert reduce_gl2((4, 4, 1))[0] == (1, 0, 0)  # rank 1, gcd 1
+    assert reduce_gl2((2, 2, 2)) == ((2, 2, 2), identity)
     rng = random.Random(4)
-    for _ in range(100):
-        a = rng.randrange(1, 6)
-        c = rng.randrange(1, 6)
-        bmax = int((4 * a * c) ** 0.5)
-        b = rng.randrange(-bmax, bmax + 1)
-        T = (a, b, c)
-        red = gauss_reduce(T)
-        ra, rb, rc = red
-        if 4 * ra * rc - rb * rb:
-            assert -ra < rb <= ra <= rc
-            if ra == rc:
-                assert rb >= 0
-        # invariance under a proper equivalence
-        g = ((1, 1), (0, 1)) if rng.random() < 0.5 else ((0, -1), (1, 0))
-        aU, bU, cU = index_transform(g, T)
-        if aU >= 0 and cU >= 0:
-            assert gauss_reduce((aU, bU, cU)) == red
-
-
-def _class_function_form(p, N, k, ell, i, T, rng, seeds):
-    """Support covering every index read under all the given rep seeds,
-    valued through gauss_reduce (a proper-equivalence class function)."""
-    values = {}
-    needed = set()
-    for scheme, seed in seeds:
-        reps = {b: p1_representatives(ell, b, N, scheme=scheme, seed=seed)
-                for b in range(i + 1)}
-        needed |= {T2 for *_, T2 in hecke_oracle.branches(ell, i, T, reps)}
-    support = {}
-    for T2 in needed:
-        key = gauss_reduce(T2)
-        if key not in values:
-            values[key] = rng.randrange(p)
-        if values[key]:
-            support[T2] = (values[key],)
-    return support
+    for _ in range(3000):
+        T = _semipositive_index(rng)
+        R, U = reduce_gl2(T)
+        (u1, u2), (x, y) = U
+        assert R == index_transform(U, T) and u1 * y - u2 * x in (1, -1), T
+        a, b, c = R
+        if b * b == 4 * a * c:
+            assert R == (gcd(gcd(T[0], T[1]), T[2]), 0, 0), T
+        else:
+            assert 0 <= b <= a <= c, T
+        for g in _GL2_GENERATORS:
+            assert reduce_gl2(index_transform(g, T))[0] == R, (T, g)
 
 
 def test_lift_independence_class_functions():
@@ -190,7 +187,8 @@ def test_lift_independence_class_functions():
         for trial in range(5):
             T = (rng.randrange(0, 3), 0, rng.randrange(0, 3))
             seeds = [("crt", 0), ("random", trial + 1)]
-            support = _class_function_form(p, N, 6, ell, 1, T, rng, seeds)
+            support = hecke_oracle.class_function_form(p, N, ell, 1, T, rng,
+                                                       seeds)
             F = mk(p, N, (6, 6), support)
             a = hecke_coefficient(F, ell, 1, T, assume_complete=True,
                                   scheme="crt")

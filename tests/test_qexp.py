@@ -1,5 +1,6 @@
 import enum
 import hashlib
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -54,6 +55,23 @@ def test_constructor_refuses_a_non_integer_index():
                                         r"non-integer entry$") as exc:
         mk(p=5, support={(1.2, 0, 1): (1,), (1.7, 0, 1): (2,)})
     assert exc.value.key == (1.2, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [(1, 1), 5, (1, 0, 1, 2)])
+def test_an_index_that_is_not_a_triple_is_refused(bad):
+    message = rf"^index {re.escape(str(bad))} is not a triple$"
+    with pytest.raises(QExpError, match=message):
+        check_index(bad)
+    with pytest.raises(QExpError, match=message) as exc:
+        mk(p=5, support={(1, 0, 1): (1,), bad: (2,)})
+    assert exc.value.key == bad
+
+
+def test_a_vector_that_is_not_iterable_is_refused():
+    with pytest.raises(QExpError, match=r"^coefficient at \(1, 0, 1\) is "
+                                        r"not a vector$") as exc:
+        mk(p=5, support={(0, 0, 1): (1,), (1.0, 0, 1): 5})
+    assert exc.value.key == (1.0, 0, 1)
 
 
 @pytest.mark.parametrize("bad", [2.5, Fraction(1, 2), float("nan"),
