@@ -17,28 +17,29 @@ Provides:
 - :class:`Series3`: sparse trivariate truncated series over F_p with the three
   partial derivations.
 
-All values are immutable after construction and safe to share.  The public
-series constructors check p and drop zeros and terms past the cutoff.  Series
-arithmetic builds its results by private constructors, ``Series1._like`` and
-``Series3._derived``, which rely on what the operands already hold (keys below
-the cutoff, nonzero values, p checked) and only reduce mod p and drop the
-zeros an operation made.
+Field operations return reduced residues, so two elements are equal exactly
+when they compare equal with ``==``.  All values are immutable after
+construction and safe to share.  The public series constructors check p and
+drop zeros and terms past the cutoff.  Series arithmetic builds its results
+by private constructors, ``Series1._like`` and ``Series3._derived``, which
+rely on what the operands already hold (keys below the cutoff, nonzero
+values, p checked) and only reduce mod p and drop the zeros an operation
+made.
 
 A Series1 is known mod t^prec, prec <= cutoff, and each operation sets the
 precision of its result by one rule (the O(t^n) of PARI/GP and Sage):
 prec(f + g) = min(prec f, prec g); prec(f*g) = min(prec f + val g,
 prec g + val f), where val is the order as far as it is known, so that an
-exact zero times a power series is an exact zero; ``shift(e)`` adds e; and
-``frobenius_substitute(s)`` multiplies prec by p^s.  Precision never exceeds
-the cutoff, and terms an operation pushes past the cutoff are truncated, not
-lost.  Where an operation would rebuild an operand it already holds,
-precision included, ``add``, ``sub``, ``mul``, ``neg`` and
-``frobenius_substitute`` return that operand, shared.
+exact zero times a power series is an exact zero; the inverse of
+c t^e (1 - x) is known to prec - 2e; and ``frobenius_substitute(s)``
+multiplies prec by p^s.  Precision never exceeds the cutoff, and terms an
+operation pushes past the cutoff are truncated, not lost.  Where an
+operation would rebuild an operand it already holds, precision included,
+``add``, ``sub``, ``mul``, ``neg`` and ``frobenius_substitute`` return that
+operand, shared.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +53,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-# Each form, Pieri projection and rep_apply re-checks its p: keep the answers.
-@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every n < 3.3e24.
 
@@ -117,14 +116,8 @@ class Fp:
         self.one = 1
 
     # -- element operations -------------------------------------------------
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def neg(self, a):
         return (-a) % self.p
@@ -137,11 +130,6 @@ class Fp:
             raise ZeroDivisionError("inverse of zero in F_p")
         return pow(a, -1, self.p)
 
-    def pow(self, a, n: int):
-        if n < 0:
-            return self.inv(pow(a, -n, self.p))
-        return pow(a, n, self.p)
-
     def frob(self, a, s: int = 1):
         """x -> x^(p^s); the identity on F_p."""
         return a % self.p
@@ -149,17 +137,8 @@ class Fp:
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
-    def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
-
     def __repr__(self):
         return f"Fp({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, Fp) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
 
 class Fp2:
@@ -184,14 +163,8 @@ class Fp2:
         raise AssertionError("no quadratic non-residue found")
 
     # -- element operations -------------------------------------------------
-    def from_int(self, n: int):
-        return (n % self.p, 0)
-
     def add(self, x, y):
         return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def sub(self, x, y):
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
 
     def neg(self, x):
         return ((-x[0]) % self.p, (-x[1]) % self.p)
@@ -232,17 +205,8 @@ class Fp2:
     def is_zero(self, x) -> bool:
         return x[0] % self.p == 0 and x[1] % self.p == 0
 
-    def eq(self, x, y) -> bool:
-        return self.is_zero(self.sub(x, y))
-
     def __repr__(self):
         return f"Fp2({self.p}; x^2-{self.r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Fp2) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp2", self.p))
 
 
 def find_zeta(p: int):
@@ -435,15 +399,6 @@ class Series1:
                     out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
         return self._like(out, prec)
 
-    def shift(self, e0: int):
-        """Multiply by t^e0."""
-        K = self.cutoff
-        out = {}
-        for e, c in self.coeffs.items():
-            if e + e0 < K:
-                out[e + e0] = c
-        return self._like(out, min(K, self.prec + e0))
-
     def inverse(self):
         """Inverse of a series whose lowest term is invertible.
 
@@ -509,16 +464,6 @@ class Series1:
 # trivariate truncated series over F_p
 # ---------------------------------------------------------------------------
 
-def _neumann(first, x):
-    """first/(1 - x), the sum of first*x^k below the cutoff, for x with no
-    constant."""
-    acc = term = first
-    while term.coeffs:
-        term = term.mul(x)
-        acc = acc.add(term)
-    return acc
-
-
 class Series3:
     """Sparse series in t11, t12, t22 over F_p, truncated at total degree K.
 
@@ -545,10 +490,6 @@ class Series3:
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------------
-    @classmethod
-    def zero(cls, p, cutoff):
-        return cls(p, cutoff)
-
     @classmethod
     def const(cls, p, cutoff, c):
         return cls(p, cutoff, {(0, 0, 0): c})
@@ -635,13 +576,18 @@ class Series3:
         return Series3(self.p, min(self.cutoff, degree), dict(self.coeffs))
 
     def inverse(self):
-        """Inverse of a unit (nonzero constant term)."""
+        """Inverse of a unit (nonzero constant term): with f = c0 (1 - x),
+        the sum of x^k below the cutoff, times 1/c0."""
         c0 = self.constant_term()
         if c0 == 0:
             raise ZeroDivisionError("not a unit in the local ring")
         c0inv = pow(c0, -1, self.p)
-        one = Series3.const(self.p, self.cutoff, 1)
-        return _neumann(one, one.sub(self.scal(c0inv))).scal(c0inv)
+        acc = term = Series3.const(self.p, self.cutoff, 1)
+        x = acc.sub(self.scal(c0inv))
+        while term.coeffs:
+            term = term.mul(x)
+            acc = acc.add(term)
+        return acc.scal(c0inv)
 
     def __repr__(self):
         if not self.coeffs:

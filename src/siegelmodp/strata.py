@@ -255,12 +255,13 @@ def _twist_vec(vec, s):
     return tuple(c.frobenius_substitute(s) for c in vec)
 
 
-def _solve_line(model, columns, target):
+def _solve_line(columns, target):
     """Solve target = sum_i x_i * columns[i] over truncated Laurent series.
 
     Gaussian elimination with min-order pivoting; raises ``ChaseError``
     ("chase left the line") when the system is inconsistent.  Returns x_0,
-    the coefficient of the line generator ``columns[0]``.
+    the coefficient of the line generator ``columns[0]``, which is not all
+    zero (``chase`` refuses that), so column 0 always finds a pivot.
     """
     ncols = len(columns)
     # rows of the augmented system
@@ -293,8 +294,6 @@ def _solve_line(model, columns, target):
             continue
         if any(not e.is_zero() for e in row):
             raise ChaseError("chase left the line")
-    if where[0] is None:
-        return Series1.zero(model.base, model.cutoff)
     return rows[where[0]][ncols]
 
 
@@ -321,7 +320,7 @@ class ChaseResult:
         return min(orders) if orders else None
 
 
-def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
+def chase(model: DieudonneModel, word, start, line_data) -> ChaseResult:
     """Run a semilinear word on a starting vector.
 
     ``word`` is a sequence of steps of three kinds:
@@ -341,7 +340,6 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
     ``start`` is a pair ``(entries, level)``: a 4-sequence or dict of
     coefficients, twisted by the engine to the level the chase starts at.
     """
-    line_data = line_data or {}
     entries, level = start
     vec = _twist_vec(_vec(model, entries), level)
     multiplier = None
@@ -368,7 +366,7 @@ def chase(model: DieudonneModel, word, start, line_data=None) -> ChaseResult:
             rels = [_twist_vec(r, level) for r in (quot.rels if quot else ())]
             if all(c.is_zero() for c in fwd):
                 raise ChaseError("chase left the line")
-            lam = _solve_line(model, [fwd] + rels, vec)
+            lam = _solve_line([fwd] + rels, vec)
             vec = tuple(c.mul(lam) for c in src_gen)
             level = src_level
             if op == "extract":
@@ -417,7 +415,7 @@ def model_0_1(p: int, K: int, zeta=None) -> tuple:
     B = Fp2(p)
     if zeta is None:
         zeta = find_zeta(p)
-    if not B.eq(B.pow(zeta, p + 1), B.neg(B.one)):
+    if B.pow(zeta, p + 1) != B.neg(B.one):
         raise StrataError("zeta must satisfy zeta^(p+1) = -1")
     z = Series1.zero(B, K)
     o = Series1.const(B, K, B.one)

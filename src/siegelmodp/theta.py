@@ -20,14 +20,14 @@ theta_j maps theta_j_coefficient over the support.  That reads the
 component's table in ``rep``, one flat row (i0, w0, i1, w1, i2, w2) per
 output entry, and builds no columns: with t = T / N, each output entry is
 t0 w0 A_F(T)[i0] + t1 w1 A_F(T)[i1] + t2 w2 A_F(T)[i2], and the table fixes
-its length.  Scalar theta is theta_3 on scalar forms.  The operators that
-multiply by a power of det T fold its 1/4 into their constant once per form
-and drop each index whose multiplier is 0 mod p.
+its length.  Scalar theta is theta_3 on scalar forms.  Big theta
+multiplies by a power of det T: it folds the 1/4 of det T into its constant
+once per form and drops each index whose multiplier is 0 mod p.
 
-Characters are unchanged.  Constant prefactors (2/3 for the big operator,
-1/18 in the four-fold closed form) are used exactly as given.  The tests
-measure the constant between the literal four-fold theta_2 iterate and its
-closed form; the library does not report it.
+Characters are unchanged.  The constant prefactor 2/3 of the big operator
+is used exactly as given.  The closed form of the four-fold theta_2
+iterate, with its 1/18, is an oracle in ``tests/theta_oracle.py``, where the
+tests measure the constant between it and the literal iterate.
 """
 
 from __future__ import annotations
@@ -50,23 +50,6 @@ def _require_scalar(F: QExpansion, name: str):
                          f"({F.weight.k1},{F.weight.k2})")
 
 
-def _det_power(F: QExpansion, c: int, e: int, weight: Weight) -> QExpansion:
-    """F with its coefficient at T multiplied by (c det T)^e, where
-    det T = (4ac - b^2)/4 is the determinant of the half-integral matrix of
-    T = (a, b, c); the 1/4 is folded into c once per form, and an index
-    whose multiplier is 0 mod p is dropped.  Each weight here keeps the
-    parity of k1 + k2."""
-    p = F.p
-    c4 = c * pow(4, -1, p) % p
-    support = {}
-    for T, vec in F.support.items():
-        a, b, cc = T
-        mult = pow(c4 * (4 * a * cc - b * b) % p, e, p)
-        if mult:
-            support[T] = tuple([mult * v % p for v in vec])
-    return _derive(F, weight, support)
-
-
 def theta_scalar(F: QExpansion) -> QExpansion:
     """Scalar theta: coefficient at T becomes (1/N) A_F(T) (a, b, c) in V(2).
     It is theta_3 at k1 = k2."""
@@ -75,14 +58,25 @@ def theta_scalar(F: QExpansion) -> QExpansion:
 
 
 def big_theta(F: QExpansion, m: int = 1) -> QExpansion:
-    """Scalar-to-scalar operator: multiplier ((2/3) det(T) / N^2)^m at T."""
+    """Scalar-to-scalar operator: multiplier ((2/3) det(T) / N^2)^m at T,
+    where det T = (4ac - b^2)/4 is the determinant of the half-integral
+    matrix of T = (a, b, c).  The 1/4 is folded into the constant once per
+    form, and an index whose multiplier is 0 mod p is dropped.  The weight
+    keeps the parity of k1 + k2."""
     _require_scalar(F, "big_theta")
     if m < 1:
         raise ThetaError("iterate count must be >= 1")
     p = F.p
     k = F.weight.k1
-    base = 2 * pow(3 * F.N * F.N, -1, p) % p
-    return _det_power(F, base, m, Weight(k + m * (p + 1), k + m * (p + 1)))
+    # (2/3) / N^2 with the 1/4 of det T folded in
+    c = pow(6 * F.N * F.N, -1, p)
+    support = {}
+    for T, vec in F.support.items():
+        a, b, cc = T
+        mult = pow(c * (4 * a * cc - b * b) % p, m, p)
+        if mult:
+            support[T] = tuple([mult * v % p for v in vec])
+    return _derive(F, Weight(k + m * (p + 1), k + m * (p + 1)), support)
 
 
 _WEIGHT_SHIFT = {1: (-1, +1), 2: (0, 0), 3: (+1, -1)}
@@ -141,22 +135,6 @@ def theta_j(F: QExpansion, j: int) -> QExpansion:
     d1, d2 = _WEIGHT_SHIFT[j]
     return _derive(F, Weight(F.weight.k1 + p + d1, F.weight.k2 + p + d2),
                    support)
-
-
-def theta2_iterate_closed(F: QExpansion, m: int = 1) -> QExpansion:
-    """Closed form for the 4m-fold theta_2 iterate on weight (k+1, k).
-
-    The result has coefficient multiplier (det(T) / (18 N^2))^(2m) at T and
-    weight shifted by 4m p on both entries.
-    """
-    if F.weight.n != 1:
-        raise ThetaError("theta2_iterate_closed requires weight (k+1, k)")
-    if m < 1:
-        raise ThetaError("iterate count must be >= 1")
-    p = F.p
-    base = pow(18 * F.N * F.N, -1, p)
-    return _det_power(F, base, 2 * m, Weight(F.weight.k1 + 4 * m * p,
-                                             F.weight.k2 + 4 * m * p))
 
 
 def big_theta_composite(F: QExpansion) -> QExpansion:

@@ -97,16 +97,16 @@ def inverse1(f):
 
 def neumann_inverse1(f):
     """``Series1.inverse`` as it was before the recurrence: f = c t^e (1 - x)
-    and the geometric series in x on ``arith``'s own operations, with the
-    first vanishing power added too, whose precision bounds the terms left
-    out."""
+    and the geometric series in x on ``arith``'s own products and sums, with
+    the first vanishing power added too, whose precision bounds the terms
+    left out."""
     e0 = f.order()
     if e0 is None or e0 >= f.prec:
         raise ZeroDivisionError(
             "inverse of a series that is zero to its precision")
     F = f.field
     c0inv = F.inv(f.coeffs[e0])
-    u = f.shift(-e0)
+    u = shift1(f, -e0)
     m = F.neg(c0inv)
     x = Series1(F, f.cutoff, {e: F.mul(m, c) for e, c in u.coeffs.items()
                               if e}, prec=u.prec)
@@ -114,7 +114,7 @@ def neumann_inverse1(f):
     while term.coeffs:
         term = term.mul(x)
         acc = acc.add(term)
-    return acc.shift(-e0)
+    return shift1(acc, -e0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,15 +22,17 @@ J = ((0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0))
 def adjunction_holds(model) -> bool:
     """Fhat^T J = J Vhat, checked entrywise (all 16 basis pairs)."""
     B = model.base
+    # J's entries 0, 1 and -1 as elements of the base field
+    entry = {1: B.one, -1: B.neg(B.one)}
     for i in range(4):
         for j in range(4):
             lhs = Series1.zero(B, model.cutoff)
             rhs = Series1.zero(B, model.cutoff)
             for k in range(4):
                 if J[k][j]:
-                    lhs = lhs.add(model.Fhat[k][i].scal(B.from_int(J[k][j])))
+                    lhs = lhs.add(model.Fhat[k][i].scal(entry[J[k][j]]))
                 if J[i][k]:
-                    rhs = rhs.add(model.Vhat[k][j].scal(B.from_int(J[i][k])))
+                    rhs = rhs.add(model.Vhat[k][j].scal(entry[J[i][k]]))
             if not lhs.sub(rhs).is_zero():
                 return False
     return True

@@ -231,14 +231,14 @@ def test_acceptance_08_step3_identity():
     rng = random.Random(8)
     p, K = 7, 5
     for _ in range(50):
-        F = Series3.zero(p, K + 2)
+        F = Series3(p, K + 2)
         detA = Series3.const(p, K + 2, rng.randrange(1, p))
         for _ in range(8):
             e = (rng.randrange(3), rng.randrange(3), rng.randrange(3))
             if sum(e) < K + 2:
                 F = F.add(Series3(p, K + 2, {e: rng.randrange(p)}))
                 detA = detA.add(Series3(p, K + 2, {e: rng.randrange(p)})
-                                if sum(e) else Series3.zero(p, K + 2))
+                                if sum(e) else Series3(p, K + 2))
         if detA.constant_term() == 0:
             detA = detA.add(Series3.const(p, K + 2, 1))
         k = rng.randrange(2, 7)

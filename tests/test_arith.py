@@ -46,7 +46,7 @@ def test_fp_field_axioms(p):
     F = Fp(p)
     for a in range(1, p):
         assert F.mul(a, F.inv(a)) == 1
-        assert F.pow(a, p - 1) == 1
+        assert pow(a, p - 1, p) == 1
     assert F.frob(3) == 3 % p
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
@@ -64,16 +64,21 @@ def test_fp2_field(p):
     for x in elements(K):
         if K.is_zero(x):
             continue
-        assert K.eq(K.mul(x, K.inv(x)), K.one)
-        assert K.eq(K.frob(x), K.pow(x, p))
-        assert K.eq(K.frob(K.frob(x)), x)
+        assert K.mul(x, K.inv(x)) == K.one
+        assert K.frob(x) == K.pow(x, p)
+        assert K.frob(K.frob(x)) == x
+        # a negative power is the inverse of the positive one
+        assert K.pow(x, -3) == K.inv(K.pow(x, 3))
+        assert K.pow(x, -1) == K.inv(x)
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        K.inv((0, 0))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_zeta(p):
     K = Fp2(p)
     z = find_zeta(p)
-    assert K.eq(K.pow(z, p + 1), K.neg(K.one))
+    assert K.pow(z, p + 1) == K.neg(K.one)
     zs = all_zetas(p)
     assert len(zs) == p + 1 and z in zs
 
@@ -93,7 +98,7 @@ def test_all_zetas_matches_scan():
             K = Fp2(p)
             minus_one = K.neg(K.one)
             scan = [x for x in elements(K)
-                    if K.eq(K.pow(x, p + 1), minus_one)]
+                    if K.pow(x, p + 1) == minus_one]
             assert all_zetas(p) == scan, p
 
 
@@ -170,7 +175,6 @@ def test_series1_basics():
     assert f.mul(g).coeffs == {1: 4, 4: 1}
     assert f.order() == 0 and g.order() == 1
     assert f.sub(f).is_zero()
-    assert g.shift(-1).coeffs == {0: 4}
 
 
 @settings(max_examples=50, deadline=None)
@@ -219,13 +223,11 @@ def test_series1_precision():
     assert f.mul(z).prec == z.mul(f).prec == 7
     assert Series1.zero(F, K).mul(z).prec == K
     assert Series1(F, K, prec=-3).mul(s1(5, K, {-2: 1})).prec == -5
-    # shift adds to the precision and Frobenius multiplies it, up to K
-    assert (z.shift(-2).prec, z.shift(3).prec, z.shift(9).prec) == (2, 7, K)
+    # Frobenius multiplies the precision, up to K
     assert z.frobenius_substitute(1).prec == K
     assert Series1(F, 100, prec=4).frobenius_substitute(1).prec == 20
-    # dividing by t^e costs e, and inverting t^e * u costs 2e: t^8 and t^9
-    # of 1/(t^2 + t^3) would need terms of t^2 + t^3 past the cutoff
-    assert s1(5, K, {2: 1, 9: 1}).shift(-2).prec == 8
+    # inverting t^e * u costs 2e: t^8 and t^9 of 1/(t^2 + t^3) would need
+    # terms of t^2 + t^3 past the cutoff
     inv = s1(5, K, {2: 1, 3: 1}).inverse()
     assert inv.prec == 6
     assert inv.coeffs == {e: (-1) ** e % 5 for e in range(-2, 8)}

@@ -142,3 +142,15 @@ def test_rotations_of_a_closed_cycle_agree(p, k, kind):
         assert res["closed"]
         sums.add((res["sum_c"], res["sum_b"], res["sums_ok"]))
     assert len(sums) == 1, (p, k, kind, sums)
+
+
+def test_a_type_0_low_point_enters_no_case_pair():
+    # p = 5, scalar: the drops 3 -> 1 and 3 -> 1 start at weights of type 2
+    # (2w - 1 = 0 mod p); the drop 1 -> 3 starts at 1, of neither type
+    res = analyze_cycle((3, 1, 3, 1), 5, "scalar")
+    assert [t for _, t, _, _ in res["low_points"]] == [2, 0, 2]
+    assert res["cases"] == [] and res["ok"]
+    # types 2, 1, 0: only the first pair is a case
+    res = analyze_cycle((3, 5, 7, 1), 5, "scalar")
+    assert [t for _, t, _, _ in res["low_points"]] == [2, 1, 0]
+    assert res["cases"] == [{"pair": (0, 1), "case": 3, "ok": True}]

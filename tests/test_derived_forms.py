@@ -90,12 +90,6 @@ def test_scalar_operators(F, m):
     derived(qexp.hasse_scale, F, m)
 
 
-@settings(max_examples=25, deadline=None)
-@given(forms(n=1), st.integers(1, 2))
-def test_theta2_iterate_closed(F, m):
-    derived(theta.theta2_iterate_closed, F, m)
-
-
 @pytest.mark.parametrize("p", PRIMES)
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())

@@ -50,9 +50,7 @@ CASES = [
     ("theta", theta.ThetaError,
      lambda: theta.big_theta(form(), 0), "iterate count must be >= 1"),
     ("theta", theta.ThetaError,
-     lambda: theta.theta2_iterate_closed(form((5, 4), {(1, 0, 1): (1, 2)}),
-                                         0),
-     "iterate count must be >= 1"),
+     lambda: theta.big_theta(form(), -1), "iterate count must be >= 1"),
     ("strata", strata.StrataError,
      lambda: chase_on_model_1_1([("invV", "B2", 1)]),
      "inverse step would go below level 0"),

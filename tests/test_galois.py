@@ -155,3 +155,17 @@ def test_reduction_plan():
     with pytest.raises(GaloisError, match="prime"):
         reduction_plan((4, 3), 4)
     assert plan.to_json()["l2_bound"] == 661
+
+
+@pytest.mark.parametrize("type, exponents, p, reason", [
+    ("Borel", {"a": 4, "b": 0, "c": 0, "d": 0}, 5,
+     "exponents must lie in [0, p-2]"),
+    ("Klingen", {"a": 1, "b": 2, "c": 2, "d": 0}, 7,
+     "need 0<=a,d<=p-2 and 0<=b<c<=p-1"),
+    ("Siegel", {"a": 3, "b": 3, "k": 1}, 7,
+     "need 0<=a<b<=p-1 and 0<=k<=p-2"),
+])
+def test_inertia_out_of_range_reasons(type, exponents, p, reason):
+    desc = classify_inertia(type, exponents, p)
+    assert not desc.range_ok and not desc.valid
+    assert desc.reason == reason

@@ -13,7 +13,7 @@ from siegelmodp.localdef import (LocalDefError, _connection,
 
 
 def rand_series(rng, p, K, unit=False):
-    s = Series3.zero(p, K)
+    s = Series3(p, K)
     for _ in range(8):
         e = (rng.randrange(3), rng.randrange(3), rng.randrange(3))
         if sum(e) < K:

@@ -27,6 +27,14 @@ def test_weight():
         Weight(1, 2)
 
 
+def test_rep_vector_refuses_a_length_other_than_n_plus_1():
+    assert RepVector(2, 0, (1, 2, 3)).coords == (1, 2, 3)
+    for coords in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=f"^coordinate vector has length "
+                                             f"{len(coords)}, expected 3$"):
+            RepVector(2, 0, coords)
+
+
 def test_rep_apply_identity_and_composition():
     p = 7
     rng = random.Random(0)

@@ -44,8 +44,7 @@ def _input(rng, F):
 
 def _step(rng, F, pool):
     (f, fr), (g, gr) = rng.choice(pool), rng.choice(pool)
-    op = rng.choice(("add", "sub", "mul", "neg", "scal", "shift", "frob",
-                     "inverse"))
+    op = rng.choice(("add", "sub", "mul", "neg", "scal", "frob", "inverse"))
     if op in ("add", "sub", "mul"):
         return getattr(f, op)(g), getattr(fr, op)(gr)
     if op == "neg":
@@ -53,9 +52,6 @@ def _step(rng, F, pool):
     if op == "scal":
         c = _element(rng, F)
         return f.scal(c), fr.scal(c)
-    if op == "shift":
-        e0 = rng.randrange(-4, 5)
-        return f.shift(e0), fr.shift(e0)
     if op == "frob":
         s = rng.randrange(0, 3)
         return f.frobenius_substitute(s), fr.frobenius_substitute(s)

@@ -41,6 +41,17 @@ def test_record_invariants():
         CanonicalType(2, 1, (0, 2, 4), (0, 0, 1), (1, 2, 2), (0, 0), 1)
 
 
+@pytest.mark.parametrize("rho, v, f", [
+    ((0, 2), (0, 0, 1), (1, 2, 2)),
+    ((0, 2, 4), (0, 0, 1, 1), (1, 2, 2)),
+    ((0, 2, 4), (0, 0, 1), (1, 2)),
+])
+def test_canonical_type_refuses_sequences_not_of_length_s_plus_1(rho, v, f):
+    with pytest.raises(StrataError,
+                       match="^rho, v, f must have length s\\+1$"):
+        CanonicalType(2, 1, rho, v, f, (1, 0), 2)
+
+
 @pytest.mark.parametrize("p", [5, 7, 211])
 @pytest.mark.parametrize("phi", PHI_VALUES)
 def test_canonical_filtration_oracle(phi, p):
@@ -129,10 +140,10 @@ def test_solve_line_keeps_the_precision_of_a_zero_in_the_pivot_row():
     gen = (one, zero, zero, zero)
     rel = (one, one, zero, zero)
     target = (Series1.const(B, K, 3), Series1(B, K, prec=20), zero, zero)
-    x0 = _solve_line(model, [gen, rel], target)
+    x0 = _solve_line([gen, rel], target)
     assert x0.coeffs == {0: 3} and x0.prec == 20
     target = (Series1.const(B, K, 3), zero, zero, zero)
-    x0 = _solve_line(model, [gen, rel], target)
+    x0 = _solve_line([gen, rel], target)
     assert x0.coeffs == {0: 3} and x0.prec == K
 
 

@@ -8,9 +8,8 @@ import pytest
 from siegelmodp.qexp import QExpansion, serialize
 from siegelmodp.rep import Weight, pieri_split
 from siegelmodp.theta import (ThetaError, big_theta, big_theta_composite,
-                              theta2_iterate_closed, theta_j,
-                              theta_j_coefficient, theta_scalar)
-from theta_oracle import iterate_ratios
+                              theta_j, theta_j_coefficient, theta_scalar)
+from theta_oracle import iterate_ratios, theta2_iterate_closed
 
 
 def mk(p, N, weight, support, **kw):
@@ -125,13 +124,8 @@ def test_theta2_iterate_closed_constant():
             assert iterate_ratios(F, m) == {pow(64, m, p)}
     # zero form: both sides vanish, so any constant fits
     Z = mk(5, 3, (4, 3), {})
-    assert theta2_iterate_closed(Z).support == {}
+    assert theta2_iterate_closed(Z, 1).support == {}
     assert iterate_ratios(Z, 1) == set()
-
-
-def test_theta2_iterate_closed_requires_n1():
-    with pytest.raises(ThetaError, match="\\(k\\+1, k\\)"):
-        theta2_iterate_closed(mk(5, 3, (4, 4), {}))
 
 
 def test_theta_j_coefficient_matches_operator():

@@ -1,10 +1,29 @@
-"""The literal 4m-fold theta_2 iterate, as a reference for its closed form.
+"""The four-fold theta_2 iterate, literal and in closed form.
 
-``theta.theta2_iterate_closed`` returns only the closed form G.  The paper's
-constant mu_m with iterate = mu_m * G is measured here, by running theta_j
-4m times and comparing the two forms coordinate by coordinate.
+:func:`theta2_iterate_closed` is the closed form G of the 4m-fold theta_2
+iterate on weight (k+1, k).  It multiplies A_F(T) by (det T / (18 N^2))^(2m)
+itself and builds G through the checking constructor.  The paper's constant
+mu_m with iterate = mu_m * G is measured by :func:`iterate_ratios`, which
+runs ``theta.theta_j`` 4m times and compares the two forms coordinate by
+coordinate.
 """
-from siegelmodp.theta import theta2_iterate_closed, theta_j
+from siegelmodp.qexp import QExpansion
+from siegelmodp.rep import Weight
+from siegelmodp.theta import theta_j
+
+
+def theta2_iterate_closed(F, m: int):
+    """A_F(T) (det T / (18 N^2))^(2m) at each T = (a, b, c), with
+    det T = (4ac - b^2)/4, at weight (k1 + 4mp, k2 + 4mp)."""
+    p = F.p
+    c = pow(4 * 18 * F.N * F.N, -1, p)
+    support = {}
+    for (a, b, cc), vec in F.support.items():
+        mult = pow(c * (4 * a * cc - b * b), 2 * m, p)
+        support[(a, b, cc)] = tuple(mult * v for v in vec)
+    return QExpansion(p=p, N=F.N, weight=Weight(F.weight.k1 + 4 * m * p,
+                                                F.weight.k2 + 4 * m * p),
+                      support=support, chi1=F.chi1, chi2=F.chi2)
 
 
 def iterate_ratios(F, m: int) -> set:
